@@ -19,12 +19,14 @@ delays.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import heapq
+import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .red import RedParams, RedState, RedVariant, Verdict, on_packet_arrival
@@ -52,20 +54,17 @@ class EventKind(enum.Enum):
     MEASUREMENT = "measurement_boundary"
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    time: float
-    seq: int
-    kind: EventKind = field(compare=False)
-    fn: Callable[[], None] = field(compare=False)
-
-
 class EventQueue:
-    """Binary-heap scheduler with stable same-time ordering."""
+    """Binary-heap scheduler with stable same-time ordering.
+
+    Heap entries are (time, sequence, callback) tuples; the sequence
+    number is unique, so ties never reach the callback.  The kind is
+    accepted for instrumentation that wraps schedule_at, not stored.
+    """
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.event_count = 0
 
@@ -75,7 +74,7 @@ class EventQueue:
     def schedule_at(self, when: float, kind: EventKind, fn: Callable[[], None]) -> None:
         if when < self.now - 1e-12:
             raise RuntimeError("cannot schedule into the past")
-        heapq.heappush(self._heap, Event(when, self._seq, kind, fn))
+        heapq.heappush(self._heap, (when, self._seq, fn))
         self._seq += 1
 
     def run(self, until: float) -> bool:
@@ -84,11 +83,11 @@ class EventQueue:
         Returns True if the queue drained before reaching `until`.
         """
         heap = self._heap
-        while heap and heap[0].time <= until:
-            ev = heapq.heappop(heap)
-            self.now = ev.time
+        while heap and heap[0][0] <= until:
+            when, _seq, fn = heapq.heappop(heap)
+            self.now = when
             self.event_count += 1
-            ev.fn()
+            fn()
         drained = not heap and self.now < until
         self.now = until
         return drained
@@ -98,27 +97,81 @@ class EventQueue:
 # admission policies for router queues
 # ---------------------------------------------------------------
 
-class GuardedCounters:
-    """Per-group arrival/drop tallies plus whole-run conservation totals."""
+PER_GROUP_TALLIES = ("arrivals", "accepted", "drops_random",
+                     "drops_forced_avg", "drops_buffer")
+
+
+class QueueCounters:
+    """Per-group arrival and verdict tallies at one queue, plus totals.
+
+    Accepts are counted, not inferred from arrivals minus drops, so the
+    conservation audit can see a packet that arrived and got no verdict.
+    Subtracting the copy taken at the warmup boundary from the final
+    counters gives the measurement window, which keeps the final max_q.
+    """
 
     def __init__(self, n_groups: int):
         self.arrivals = [0] * n_groups
+        self.accepted = [0] * n_groups
         self.drops_random = [0] * n_groups
         self.drops_forced_avg = [0] * n_groups
         self.drops_buffer = [0] * n_groups
         self.departed = 0
         self.max_q = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "arrivals": list(self.arrivals),
-            "drops_random": list(self.drops_random),
-            "drops_forced_avg": list(self.drops_forced_avg),
-            "drops_buffer": list(self.drops_buffer),
+        self.by_verdict = {
+            Verdict.ACCEPT: self.accepted,
+            Verdict.RANDOM_DROP: self.drops_random,
+            Verdict.FORCED_DROP_AVG: self.drops_forced_avg,
+            Verdict.FORCED_DROP_BUFFER: self.drops_buffer,
         }
 
+    def copy(self) -> "QueueCounters":
+        return copy.deepcopy(self)
 
-class RedAdmission:
+    def __sub__(self, mark: "QueueCounters") -> "QueueCounters":
+        out = self.copy()
+        for name in PER_GROUP_TALLIES:
+            getattr(out, name)[:] = [
+                x - y for x, y in zip(getattr(self, name), getattr(mark, name))
+            ]
+        out.departed -= mark.departed
+        return out
+
+
+class Admission:
+    """Admission control for a router queue: one verdict rule per subclass.
+
+    admit() tallies each arrival and its verdict by traffic group and
+    keeps the occupancy that the verdict rules read.
+    """
+
+    def __init__(self, group_of: Callable[[int], int], n_groups: int):
+        self.group_of = group_of
+        self.occupancy = 0
+        self.counters = QueueCounters(n_groups)
+
+    def verdict(self, seg: Segment) -> Verdict:
+        raise NotImplementedError
+
+    def admit(self, seg: Segment) -> bool:
+        c = self.counters
+        g = self.group_of(seg.flow_id)
+        c.arrivals[g] += 1
+        verdict = self.verdict(seg)
+        c.by_verdict[verdict][g] += 1
+        if verdict is not Verdict.ACCEPT:
+            return False
+        self.occupancy += 1
+        if self.occupancy > c.max_q:
+            c.max_q = self.occupancy
+        return True
+
+    def departed(self) -> None:
+        self.occupancy -= 1
+        self.counters.departed += 1
+
+
+class RedAdmission(Admission):
     """Drop gatekeeper in front of a router queue.
 
     Consumes exactly one uniform draw per arriving packet, whatever
@@ -134,48 +187,25 @@ class RedAdmission:
         group_of: Callable[[int], int],
         n_groups: int,
     ):
+        super().__init__(group_of, n_groups)
         self.params = params
         self.variant = variant
         self.rng = rng
-        self.group_of = group_of
         self.state = RedState()
-        self.counters = GuardedCounters(n_groups)
 
-    def admit(self, seg: Segment) -> bool:
-        u = self.rng.random()
-        g = self.group_of(seg.flow_id)
-        c = self.counters
-        c.arrivals[g] += 1
-        decision = on_packet_arrival(
-            self.state, self.params, self.variant, seg.wire_bytes, u
-        )
-        v = decision.verdict
-        if v is Verdict.ACCEPT:
-            if self.state.q > c.max_q:
-                c.max_q = self.state.q
-            return True
-        if v is Verdict.RANDOM_DROP:
-            c.drops_random[g] += 1
-        elif v is Verdict.FORCED_DROP_AVG:
-            c.drops_forced_avg[g] += 1
-        else:
-            c.drops_buffer[g] += 1
-        return False
-
-    def departed(self) -> None:
-        self.state.q -= 1
-        self.counters.departed += 1
-
-    @property
-    def occupancy(self) -> int:
-        return self.state.q
+    def verdict(self, seg: Segment) -> Verdict:
+        state = self.state
+        state.q = self.occupancy  # the gatekeeper's own q bump is discarded
+        return on_packet_arrival(
+            state, self.params, self.variant, seg.wire_bytes, self.rng.random()
+        ).verdict
 
 
-class BernoulliAdmission:
+class BernoulliAdmission(Admission):
     """Size-blind independent dropper, for calibration runs.
 
-    Same draw discipline and counter layout as the gatekeeper, with a
-    constant drop probability and an occupancy cap.
+    Same draw discipline as the gatekeeper, with a constant drop
+    probability and an occupancy cap.
     """
 
     def __init__(
@@ -188,64 +218,34 @@ class BernoulliAdmission:
     ):
         if not 0.0 <= loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
+        super().__init__(group_of, n_groups)
         self.loss_prob = loss_prob
         self.cap = cap
         self.rng = rng
-        self.group_of = group_of
-        self._q = 0
-        self.counters = GuardedCounters(n_groups)
 
-    def admit(self, seg: Segment) -> bool:
+    def verdict(self, seg: Segment) -> Verdict:
         u = self.rng.random()
-        g = self.group_of(seg.flow_id)
-        c = self.counters
-        c.arrivals[g] += 1
-        if self._q >= self.cap:
-            c.drops_buffer[g] += 1
-            return False
+        if self.occupancy >= self.cap:
+            return Verdict.FORCED_DROP_BUFFER
         if u < self.loss_prob:
-            c.drops_random[g] += 1
-            return False
-        self._q += 1
-        if self._q > c.max_q:
-            c.max_q = self._q
-        return True
-
-    def departed(self) -> None:
-        self._q -= 1
-        self.counters.departed += 1
-
-    @property
-    def occupancy(self) -> int:
-        return self._q
+            return Verdict.RANDOM_DROP
+        return Verdict.ACCEPT
 
 
-class FifoAdmission:
-    """Plain bounded tail-drop queue (the acknowledgment direction)."""
+class FifoAdmission(Admission):
+    """Plain bounded tail-drop queue (the acknowledgment direction).
+
+    All traffic counts as one group and no random draw is made.
+    """
 
     def __init__(self, cap: int):
+        super().__init__(lambda _flow_id: 0, 1)
         self.cap = cap
-        self._q = 0
-        self.arrivals = 0
-        self.drops = 0
-        self.max_q = 0
 
-    def admit(self, seg: Segment) -> bool:
-        self.arrivals += 1
-        if self._q >= self.cap:
-            self.drops += 1
-            return False
-        self._q += 1
-        if self._q > self.max_q:
-            self.max_q = self._q
-        return True
-
-    def departed(self) -> None:
-        self._q -= 1
-
-    @property
-    def occupancy(self) -> int:
-        return self._q
+    def verdict(self, seg: Segment) -> Verdict:
+        if self.occupancy >= self.cap:
+            return Verdict.FORCED_DROP_BUFFER
+        return Verdict.ACCEPT
 
 
 # ---------------------------------------------------------------
@@ -267,14 +267,12 @@ class Link:
         prop_delay_s: float,
         deliver: Callable[[Segment], None],
         admission=None,
-        name: str = "",
     ):
         self.eq = eq
         self.rate_bps = rate_bps
         self.prop_delay_s = prop_delay_s
         self.deliver = deliver
         self.admission = admission
-        self.name = name
         self._backlog: deque[Segment] = deque()
         self._busy = False
 
@@ -336,6 +334,16 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("name", "must be non-empty")
+        for field_name, value in (
+            ("duration", self.duration_s),
+            ("warmup", self.warmup_s),
+            ("bottleneck_rate_mbps", self.bottleneck_rate_bps),
+            ("access_rate_mbps", self.access_rate_bps),
+            ("bottleneck_delay_ms", self.bottleneck_delay_s),
+            ("access_delay_ms", self.access_delay_s),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(field_name, "must be finite")
         if self.duration_s <= 0.0:
             raise ConfigError("duration", "must be > 0")
         if not 0.0 <= self.warmup_s < self.duration_s:
@@ -397,13 +405,10 @@ class Scenario:
 # ---------------------------------------------------------------
 
 class _Flow:
-    __slots__ = ("index", "group", "sender", "receiver", "access_link",
-                 "recv_link", "scheduled_epoch")
+    __slots__ = ("sender", "receiver", "access_link", "recv_link",
+                 "scheduled_epoch")
 
-    def __init__(self, index: int, group: int, sender: TcpSender,
-                 receiver: TcpReceiver):
-        self.index = index
-        self.group = group
+    def __init__(self, sender: TcpSender, receiver: TcpReceiver):
         self.sender = sender
         self.receiver = receiver
         self.access_link: Link | None = None
@@ -430,9 +435,8 @@ class DumbbellSim:
             config = TcpConfig(variant=scenario.tcp_variant, mss=group.mtu - 40)
             for _ in range(group.flow_count):
                 idx = len(self.flows)
-                flow = _Flow(idx, g_idx, TcpSender(idx, config),
-                             TcpReceiver(idx, config))
-                self.flows.append(flow)
+                self.flows.append(
+                    _Flow(TcpSender(idx, config), TcpReceiver(idx, config)))
                 group_index.append(g_idx)
         self.group_of = group_index.__getitem__
         # Start jitter is drawn before any other randomness, in flow order.
@@ -453,32 +457,23 @@ class DumbbellSim:
         self.bottleneck_link = Link(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
             self._deliver_to_receiver_side, admission=bottleneck_admission,
-            name="bottleneck",
         )
         self.reverse_link = Link(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
             self._deliver_to_sender_side, admission=self.reverse_admission,
-            name="reverse",
         )
         self.recv_ack_wire = Link(
-            eq, None, scenario.access_delay_s, self._ack_reaches_far_router,
-            name="receivers-to-router",
-        )
+            eq, None, scenario.access_delay_s, self._ack_reaches_far_router)
         self.sender_ack_wire = Link(
-            eq, None, scenario.access_delay_s, self._ack_reaches_sender,
-            name="router-to-senders",
-        )
+            eq, None, scenario.access_delay_s, self._ack_reaches_sender)
         for flow in self.flows:
             flow.access_link = Link(
                 eq, scenario.access_rate_bps, scenario.access_delay_s,
-                self._data_reaches_near_router, name=f"access-{flow.index}",
-            )
+                self._data_reaches_near_router)
             flow.recv_link = Link(
                 eq, scenario.access_rate_bps, scenario.access_delay_s,
-                self._data_reaches_receiver, name=f"recv-{flow.index}",
-            )
+                self._data_reaches_receiver)
         self.link_count = 4 + 2 * len(self.flows)
-        self._warmup_marks: dict | None = None
         self.stalled = False
         self._finished = False
 
@@ -539,10 +534,8 @@ class DumbbellSim:
         self._transmit(flow, out)
 
     def _take_warmup_marks(self) -> None:
-        self._warmup_marks = {
-            "counters": self.bottleneck_admission.counters.snapshot(),
-            "delivered": [f.receiver.delivered_bytes for f in self.flows],
-        }
+        self._warmup_counters = self.bottleneck_admission.counters.copy()
+        self._warmup_delivered = [f.receiver.delivered_bytes for f in self.flows]
 
     def run(self) -> metrics.RunReport:
         if self._finished:
@@ -553,44 +546,26 @@ class DumbbellSim:
             self.eq.schedule_at(
                 start, EventKind.FLOW_START, lambda f=flow: self._start_flow(f)
             )
+        # warmup_s < duration_s, so this always fires before the run ends.
         self.eq.schedule_at(
             sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_marks
         )
         drained = self.eq.run(sc.duration_s)
         self.stalled = drained and bool(self.flows)
-        return self._build_report()
-
-    def _build_report(self) -> metrics.RunReport:
-        sc = self.scenario
-        marks = self._warmup_marks
-        if marks is None:  # warmup boundary never reached
-            marks = {
-                "counters": self.bottleneck_admission.counters.snapshot(),
-                "delivered": [f.receiver.delivered_bytes for f in self.flows],
-            }
-        end_counters = self.bottleneck_admission.counters
-        delivered_delta = [
-            f.receiver.delivered_bytes - base
-            for f, base in zip(self.flows, marks["delivered"])
-        ]
-        interval = sc.duration_s - sc.warmup_s
-        diagnostics = []
-        if self.stalled:
-            diagnostics.append(
-                "event queue drained before the configured duration"
-            )
+        counters = self.bottleneck_admission.counters
         return metrics.build_run_report(
             scenario=sc,
-            interval_s=interval,
             group_of=self.group_of,
-            delivered_delta=delivered_delta,
-            start_counters=marks["counters"],
-            end_counters=end_counters,
-            reverse=self.reverse_admission,
-            bottleneck_occupancy=self.bottleneck_admission.occupancy,
+            delivered_delta=[
+                f.receiver.delivered_bytes - base
+                for f, base in zip(self.flows, self._warmup_delivered)
+            ],
+            window=counters - self._warmup_counters,
+            whole_run=counters,
+            reverse=self.reverse_admission.counters,
+            residual_q=self.bottleneck_admission.occupancy,
             event_count=self.eq.event_count,
             stalled=self.stalled,
-            diagnostics=diagnostics,
         )
 
 

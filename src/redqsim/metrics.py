@@ -5,7 +5,9 @@ over the post-warmup window.  Loss ratios are per traffic group at the
 guarded bottleneck queue, drops of every cause over arrivals, within
 the same window.  The conservation audit covers the whole run: every
 arrival is either accepted or dropped, and every accepted packet either
-departed or still sits in the queue.
+departed or still sits in the queue.  Arrivals, accepts, drops and
+departures are each counted where they happen, so either identity can
+fail when the queue loses track of a packet.
 """
 
 from __future__ import annotations
@@ -96,17 +98,23 @@ def loss_ratio(drops: int, arrivals: int) -> float | None:
 
 def build_run_report(
     scenario,
-    interval_s: float,
     group_of,
     delivered_delta: list[int],
-    start_counters: dict,
-    end_counters,
+    window,
+    whole_run,
     reverse,
-    bottleneck_occupancy: int,
+    residual_q: int,
     event_count: int,
     stalled: bool,
-    diagnostics: list[str],
 ) -> RunReport:
+    """Assemble a run's report from its queue counters.
+
+    window holds the bottleneck tallies of the measurement window (final
+    counters minus the warmup copy), whole_run the final ones, reverse
+    those of the acknowledgment-direction queue; delivered_delta is the
+    per-flow unique payload delivered in the window.
+    """
+    interval_s = scenario.duration_s - scenario.warmup_s
     flow_goodput = tuple(
         goodput_bps(delta, interval_s) for delta in delivered_delta
     )
@@ -114,17 +122,15 @@ def build_run_report(
     for idx, delta in enumerate(delivered_delta):
         group_delivered[group_of(idx)] += delta
 
-    diagnostics = list(diagnostics)
+    diagnostics = []
+    if stalled:
+        diagnostics.append("event queue drained before the configured duration")
     groups = []
     for g_idx, group in enumerate(scenario.groups):
-        arrivals = end_counters.arrivals[g_idx] - start_counters["arrivals"][g_idx]
-        d_rand = end_counters.drops_random[g_idx] - start_counters["drops_random"][g_idx]
-        d_avg = (
-            end_counters.drops_forced_avg[g_idx]
-            - start_counters["drops_forced_avg"][g_idx]
-        )
-        d_buf = end_counters.drops_buffer[g_idx] - start_counters["drops_buffer"][g_idx]
-        plr = loss_ratio(d_rand + d_avg + d_buf, arrivals)
+        d_rand = window.drops_random[g_idx]
+        d_avg = window.drops_forced_avg[g_idx]
+        d_buf = window.drops_buffer[g_idx]
+        plr = loss_ratio(d_rand + d_avg + d_buf, window.arrivals[g_idx])
         if plr is None:
             diagnostics.append(
                 f"group {group.name!r}: no bottleneck arrivals in the "
@@ -137,7 +143,7 @@ def build_run_report(
                 flow_count=group.flow_count,
                 goodput_bps=goodput_bps(group_delivered[g_idx], interval_s),
                 plr=plr,
-                arrivals=arrivals,
+                arrivals=window.arrivals[g_idx],
                 drops_random=d_rand,
                 drops_forced_avg=d_avg,
                 drops_buffer=d_buf,
@@ -145,17 +151,14 @@ def build_run_report(
         )
 
     audit = BottleneckAudit(
-        arrivals=sum(end_counters.arrivals),
-        accepted=sum(end_counters.arrivals)
-        - sum(end_counters.drops_random)
-        - sum(end_counters.drops_forced_avg)
-        - sum(end_counters.drops_buffer),
-        drops_random=sum(end_counters.drops_random),
-        drops_forced_avg=sum(end_counters.drops_forced_avg),
-        drops_buffer=sum(end_counters.drops_buffer),
-        departed=end_counters.departed,
-        residual_q=bottleneck_occupancy,
-        max_q=end_counters.max_q,
+        arrivals=sum(whole_run.arrivals),
+        accepted=sum(whole_run.accepted),
+        drops_random=sum(whole_run.drops_random),
+        drops_forced_avg=sum(whole_run.drops_forced_avg),
+        drops_buffer=sum(whole_run.drops_buffer),
+        departed=whole_run.departed,
+        residual_q=residual_q,
+        max_q=whole_run.max_q,
     )
     return RunReport(
         scenario_name=scenario.name,
@@ -170,8 +173,8 @@ def build_run_report(
         flow_goodput_bps=flow_goodput,
         total_goodput_bps=sum(flow_goodput),
         bottleneck=audit,
-        reverse_arrivals=reverse.arrivals,
-        reverse_drops=reverse.drops,
+        reverse_arrivals=sum(reverse.arrivals),
+        reverse_drops=sum(reverse.drops_buffer),
         event_count=event_count,
         stalled=stalled,
         diagnostics=tuple(diagnostics),

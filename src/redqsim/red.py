@@ -11,7 +11,8 @@ probability and in how the counter advances.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 
 class RedVariant(enum.Enum):
@@ -31,6 +32,20 @@ class RedVariant(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# Every variant is one row (a, b, c) of the same formula, with s = L/M:
+#   p_a = s^a * p_b / (1 - count * s^b * p_b),  counter step s^c.
+# The exponents index (1.0, s, s * s), so each product is formed by
+# the same multiplications as a formula written out by hand and the
+# floats stay bit-identical to it.
+VARIANT_EXPONENTS = {
+    RedVariant.RED_1: (0, 0, 0),
+    RedVariant.RED_2: (1, 1, 0),
+    RedVariant.RED_3: (1, 0, 0),
+    RedVariant.RED_4: (1, 0, 1),
+    RedVariant.RED_5: (2, 0, 2),
+}
 
 
 class Verdict(enum.Enum):
@@ -57,6 +72,9 @@ class RedParams:
     max_packet_size: int = 1500
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.w_q <= 1.0:
             raise ValueError("w_q must be in (0, 1]")
         if self.min_th < 0.0:
@@ -121,10 +139,12 @@ def compute_pb(params: RedParams, avg: float) -> float:
     return params.max_p * (avg - params.min_th) / (params.max_th - params.min_th)
 
 
-def _size_ratio(params: RedParams, packet_len: int) -> float:
+def _size_powers(params: RedParams, packet_len: int) -> tuple[float, float, float]:
+    """(1, s, s * s) for s = L/M, indexed by a variant's exponents."""
     if not 0 < packet_len <= params.max_packet_size:
         raise ValueError("packet_len must be in (0, max_packet_size]")
-    return packet_len / params.max_packet_size
+    s = packet_len / params.max_packet_size
+    return (1.0, s, s * s)
 
 
 def compute_pa(
@@ -141,22 +161,10 @@ def compute_pa(
     denominator means the uniformization window is exhausted and the
     packet is dropped with certainty.
     """
-    s = _size_ratio(params, packet_len)
-    if variant is RedVariant.RED_1:
-        num = p_b
-        den = 1.0 - count * p_b
-    elif variant is RedVariant.RED_2:
-        num = s * p_b
-        den = 1.0 - count * s * p_b
-    elif variant is RedVariant.RED_3:
-        num = s * p_b
-        den = 1.0 - count * p_b
-    elif variant is RedVariant.RED_4:
-        num = s * p_b
-        den = 1.0 - count * p_b
-    else:  # RED_5
-        num = s * s * p_b
-        den = 1.0 - count * p_b
+    powers = _size_powers(params, packet_len)
+    a, b, _c = VARIANT_EXPONENTS[variant]
+    num = powers[a] * p_b
+    den = 1.0 - count * powers[b] * p_b
     if den <= 0.0:
         return 1.0
     p_a = num / den
@@ -169,12 +177,7 @@ def compute_pa(
 
 def count_increment(variant: RedVariant, params: RedParams, packet_len: int) -> float:
     """Weight an accepted packet adds to the post-drop counter."""
-    if variant in (RedVariant.RED_1, RedVariant.RED_2, RedVariant.RED_3):
-        return 1.0
-    s = _size_ratio(params, packet_len)
-    if variant is RedVariant.RED_4:
-        return s
-    return s * s  # RED_5
+    return _size_powers(params, packet_len)[VARIANT_EXPONENTS[variant][2]]
 
 
 def random_region_step(

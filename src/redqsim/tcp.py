@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HEADER_BYTES = 40
 RTT_GAIN = 0.125

@@ -155,6 +155,19 @@ class TestRunCommand:
         assert "max_th" in err
         assert out == ""
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("min_th = 40", "min_th = nan", "min_th"),
+        ("seed = 5", "seed = 5\naccess_delay_ms = nan", "access_delay_ms"),
+    ], ids=["min_th", "access_delay_ms"])
+    def test_non_finite_value_exits_2_and_names_field(self, tmp_path, old, new, field):
+        path = tmp_path / "nan.scn"
+        path.write_text(SCENARIO_TEXT.replace(old, new))
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_run(str(path), None, None, env={}, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert field in err
+        assert out == ""
+
     def test_missing_file_exits_2(self, tmp_path):
         rc, _, err = run_cli(
             lambda **k: cli.cmd_run(str(tmp_path / "nope.scn"), None, None,

@@ -10,6 +10,7 @@ from redqsim.engine import (
     DumbbellSim,
     EventQueue,
     FlowGroup,
+    RedAdmission,
     Scenario,
     run_scenario,
 )
@@ -105,6 +106,11 @@ class TestScenarioValidation:
             (dict(groups=(FlowGroup("g", 1, 40),)), "mtu"),
             (dict(groups=(FlowGroup("g", 1, 3000),)), "mtu"),
             (dict(groups=(FlowGroup("a", 1, 750), FlowGroup("a", 1, 375))), "group"),
+            (dict(duration_s=float("inf")), "duration"),
+            (dict(bottleneck_rate_bps=float("inf")), "bottleneck_rate_mbps"),
+            (dict(access_rate_bps=float("nan")), "access_rate_mbps"),
+            (dict(bottleneck_delay_s=float("nan")), "bottleneck_delay_ms"),
+            (dict(access_delay_s=float("nan")), "access_delay_ms"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):
@@ -161,6 +167,28 @@ class TestConservation:
         assert audit.arrivals == audit.accepted + audit.drops_total
         assert audit.accepted == audit.departed + audit.residual_q
         assert audit.conserved
+
+    def test_audit_catches_arrivals_without_a_verdict(self):
+        class LeakyAdmission(RedAdmission):
+            """Counts every arrival but discards every 50th unrecorded."""
+
+            seen = 0
+
+            def admit(self, seg):
+                self.seen += 1
+                if self.seen % 50:
+                    return super().admit(seg)
+                self.counters.arrivals[self.group_of(seg.flow_id)] += 1
+                return False
+
+        sc = make_scenario(duration_s=6.0, warmup_s=1.0)
+        report = run_scenario(sc, bottleneck_admission_factory=lambda sim:
+                              LeakyAdmission(sc.red, sc.red_variant, sim.rng,
+                                             sim.group_of, len(sc.groups)))
+        audit = report.bottleneck
+        assert audit.arrivals != audit.accepted + audit.drops_total
+        assert audit.accepted == audit.departed + audit.residual_q
+        assert not audit.conserved
 
     def test_occupancy_never_exceeds_buffer_cap(self):
         report = run_scenario(make_scenario(duration_s=6.0, warmup_s=1.0))

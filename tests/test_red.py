@@ -4,6 +4,7 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from redqsim.red import (
     DropDecision,
@@ -48,6 +49,9 @@ class TestRedParams:
             {"buffer_cap": 0},
             {"max_th": 300.0},
             {"max_packet_size": 0},
+            {"min_th": float("nan")},
+            {"max_th": float("nan")},
+            {"buffer_cap": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -186,6 +190,32 @@ class TestCountMechanics:
         assert count_increment(RedVariant.RED_3, params, 750) == 1.0
         assert count_increment(RedVariant.RED_4, params, 750) == 0.5
         assert count_increment(RedVariant.RED_5, params, 750) == 0.25
+
+    @given(
+        variant=st.sampled_from(ALL_VARIANTS),
+        p_b=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        count=st.floats(min_value=0.0, max_value=1e6),
+        data=st.data(),
+    )
+    def test_matches_variant_table_bit_for_bit(self, variant, p_b, count, data):
+        max_size = data.draw(st.integers(min_value=1, max_value=9000))
+        length = data.draw(st.integers(min_value=1, max_value=max_size))
+        params = RedParams(max_packet_size=max_size)
+        s = length / max_size
+        # The README variant table, one formula per row.
+        if variant is RedVariant.RED_1:
+            num, den, step = p_b, 1.0 - count * p_b, 1.0
+        elif variant is RedVariant.RED_2:
+            num, den, step = s * p_b, 1.0 - count * s * p_b, 1.0
+        elif variant is RedVariant.RED_3:
+            num, den, step = s * p_b, 1.0 - count * p_b, 1.0
+        elif variant is RedVariant.RED_4:
+            num, den, step = s * p_b, 1.0 - count * p_b, s
+        else:
+            num, den, step = s * s * p_b, 1.0 - count * p_b, s * s
+        expected = 1.0 if den <= 0.0 else min(max(num / den, 0.0), 1.0)
+        assert compute_pa(variant, params, p_b, count, length) == expected
+        assert count_increment(variant, params, length) == step
 
     def test_accept_advances_and_drop_resets(self, params):
         state = RedState()
