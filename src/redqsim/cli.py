@@ -307,10 +307,9 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
     report = run_scenario(scenario)
     _write_csv(report_rows(report), out_path, stdout)
     if report.stalled:
-        stderr.write(
-            f"runtime diagnostic: scenario {scenario.name!r} stalled at "
-            f"t={report.duration_s:.6g}s (event queue drained early)\n"
-        )
+        for line in report.diagnostics:
+            stderr.write(
+                f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -368,7 +367,8 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
         report = run_scenario(scenario)
         lines.extend(report_rows(report))
         if report.stalled:
-            stderr.write(f"cell {cell_name}: runtime diagnostic: stalled\n")
+            for line in report.diagnostics:
+                stderr.write(f"cell {cell_name}: runtime diagnostic: {line}\n")
             worst = max(worst, EXIT_RUNTIME)
     _write_csv(lines, out_path, stdout)
     return worst

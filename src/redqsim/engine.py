@@ -11,10 +11,12 @@ The topology is a dumbbell: every sender reaches the first router over
 its own access link, the two routers exchange traffic over a pair of
 one-way bottleneck links (data direction guarded by the drop
 gatekeeper, return direction a plain bounded FIFO), and every receiver
-hangs off the second router on its own access link.  Acknowledgment
-delivery back into the routers rides two shared fixed-delay wires, so
-the round-trip floor is twice the bottleneck delay plus four access
-delays.
+hangs off the second router on its own access link, so the round-trip
+floor is twice the bottleneck delay plus four access delays.  Receive
+access links are per-flow clocks and the acknowledgment hops next to
+them plain access-delay events; sender access links keep their service
+events, whose same-time ties with gatekeeper arrivals fix the event
+order.  Each flow keeps at most one pending retransmission-timer entry.
 """
 
 from __future__ import annotations
@@ -255,7 +257,6 @@ class FifoAdmission(Admission):
 class Link:
     """One-way link: optional admission, serialization, propagation.
 
-    rate_bps=None models a pure fixed-delay wire with no queueing.
     The admission policy's occupancy covers both waiting and in-service
     packets; departed() fires when serialization completes.
     """
@@ -263,7 +264,7 @@ class Link:
     def __init__(
         self,
         eq: EventQueue,
-        rate_bps: float | None,
+        rate_bps: float,
         prop_delay_s: float,
         deliver: Callable[[Segment], None],
         admission=None,
@@ -277,9 +278,6 @@ class Link:
         self._busy = False
 
     def send(self, seg: Segment) -> None:
-        if self.rate_bps is None:
-            self.eq.schedule(self.prop_delay_s, EventKind.ARRIVAL, lambda s=seg: self.deliver(s))
-            return
         if self.admission is not None and not self.admission.admit(seg):
             return
         self._backlog.append(seg)
@@ -405,15 +403,17 @@ class Scenario:
 # ---------------------------------------------------------------
 
 class _Flow:
-    __slots__ = ("sender", "receiver", "access_link", "recv_link",
-                 "scheduled_epoch")
+    # recv_free_at: when the receive access link is next idle;
+    # timer_at: time of the one pending timer entry, or None.
+    __slots__ = ("sender", "receiver", "access_link", "recv_free_at",
+                 "timer_at")
 
     def __init__(self, sender: TcpSender, receiver: TcpReceiver):
         self.sender = sender
         self.receiver = receiver
         self.access_link: Link | None = None
-        self.recv_link: Link | None = None
-        self.scheduled_epoch = -1
+        self.recv_free_at = 0.0
+        self.timer_at: float | None = None
 
 
 class DumbbellSim:
@@ -462,19 +462,10 @@ class DumbbellSim:
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
             self._deliver_to_sender_side, admission=self.reverse_admission,
         )
-        self.recv_ack_wire = Link(
-            eq, None, scenario.access_delay_s, self._ack_reaches_far_router)
-        self.sender_ack_wire = Link(
-            eq, None, scenario.access_delay_s, self._ack_reaches_sender)
         for flow in self.flows:
             flow.access_link = Link(
                 eq, scenario.access_rate_bps, scenario.access_delay_s,
                 self._data_reaches_near_router)
-            flow.recv_link = Link(
-                eq, scenario.access_rate_bps, scenario.access_delay_s,
-                self._data_reaches_receiver)
-        self.link_count = 4 + 2 * len(self.flows)
-        self.stalled = False
         self._finished = False
 
     # -------------------- wiring callbacks --------------------
@@ -488,18 +479,25 @@ class DumbbellSim:
         self.bottleneck_link.send(seg)
 
     def _deliver_to_receiver_side(self, seg: Segment) -> None:
-        self.flows[seg.flow_id].recv_link.send(seg)
+        # Same float operations, in the same order, as a Link's service.
+        sc = self.scenario
+        flow = self.flows[seg.flow_id]
+        flow.recv_free_at = (max(self.eq.now, flow.recv_free_at)
+                             + seg.wire_bytes * 8.0 / sc.access_rate_bps)
+        self.eq.schedule_at(
+            flow.recv_free_at + sc.access_delay_s, EventKind.ARRIVAL,
+            lambda: self._data_reaches_receiver(seg),
+        )
 
     def _data_reaches_receiver(self, seg: Segment) -> None:
         flow = self.flows[seg.flow_id]
         ack = flow.receiver.on_data(seg, self.eq.now)
-        self.recv_ack_wire.send(ack)
-
-    def _ack_reaches_far_router(self, seg: Segment) -> None:
-        self.reverse_link.send(seg)
+        self.eq.schedule(self.scenario.access_delay_s, EventKind.ARRIVAL,
+                         lambda: self.reverse_link.send(ack))
 
     def _deliver_to_sender_side(self, seg: Segment) -> None:
-        self.sender_ack_wire.send(seg)
+        self.eq.schedule(self.scenario.access_delay_s, EventKind.ARRIVAL,
+                         lambda: self._ack_reaches_sender(seg))
 
     def _ack_reaches_sender(self, seg: Segment) -> None:
         flow = self.flows[seg.flow_id]
@@ -509,23 +507,23 @@ class DumbbellSim:
     # -------------------- timers --------------------
 
     def _sync_timer(self, flow: _Flow) -> None:
-        sender = flow.sender
-        if sender.rto_deadline is None:
+        deadline = flow.sender.rto_deadline
+        if deadline is None:
             return
-        if sender.timer_epoch == flow.scheduled_epoch:
-            return
-        epoch = sender.timer_epoch
-        flow.scheduled_epoch = epoch
-        self.eq.schedule_at(
-            sender.rto_deadline, EventKind.TIMER,
-            lambda f=flow, e=epoch: self._on_timer(f, e),
-        )
+        if flow.timer_at is None or deadline < flow.timer_at:
+            flow.timer_at = deadline
+            self.eq.schedule_at(deadline, EventKind.TIMER,
+                                lambda: self._on_timer(flow))
 
-    def _on_timer(self, flow: _Flow, epoch: int) -> None:
-        if epoch != flow.sender.timer_epoch:
-            return  # superseded by a later restart
-        out = flow.sender.on_timeout(self.eq.now)
-        self._transmit(flow, out)
+    def _on_timer(self, flow: _Flow) -> None:
+        now = self.eq.now
+        if now != flow.timer_at:
+            return  # superseded by an earlier entry
+        flow.timer_at = None
+        if flow.sender.rto_deadline == now:
+            self._transmit(flow, flow.sender.on_timeout(now))
+        else:
+            self._sync_timer(flow)  # cleared, or moved later
 
     # -------------------- run --------------------
 
@@ -551,7 +549,6 @@ class DumbbellSim:
             sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_marks
         )
         drained = self.eq.run(sc.duration_s)
-        self.stalled = drained and bool(self.flows)
         counters = self.bottleneck_admission.counters
         return metrics.build_run_report(
             scenario=sc,
@@ -565,7 +562,7 @@ class DumbbellSim:
             reverse=self.reverse_admission.counters,
             residual_q=self.bottleneck_admission.occupancy,
             event_count=self.eq.event_count,
-            stalled=self.stalled,
+            drained=drained,
         )
 
 

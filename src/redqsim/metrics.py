@@ -105,14 +105,17 @@ def build_run_report(
     reverse,
     residual_q: int,
     event_count: int,
-    stalled: bool,
+    drained: bool,
 ) -> RunReport:
     """Assemble a run's report from its queue counters.
 
     window holds the bottleneck tallies of the measurement window (final
     counters minus the warmup copy), whole_run the final ones, reverse
     those of the acknowledgment-direction queue; delivered_delta is the
-    per-flow unique payload delivered in the window.
+    per-flow unique payload delivered in the window, and drained tells
+    whether the event queue ran dry before the configured duration.
+    A run with flows is stalled if it drained or if no packet ever
+    reached the bottleneck.
     """
     interval_s = scenario.duration_s - scenario.warmup_s
     flow_goodput = tuple(
@@ -123,8 +126,13 @@ def build_run_report(
         group_delivered[group_of(idx)] += delta
 
     diagnostics = []
-    if stalled:
-        diagnostics.append("event queue drained before the configured duration")
+    if delivered_delta and drained:
+        diagnostics.append(
+            "stalled: event queue drained before the configured duration")
+    if delivered_delta and sum(whole_run.arrivals) == 0:
+        diagnostics.append("stalled: no packet reached the bottleneck in "
+                           f"{scenario.duration_s:g} s")
+    stalled = bool(diagnostics)
     groups = []
     for g_idx, group in enumerate(scenario.groups):
         d_rand = window.drops_random[g_idx]

@@ -70,6 +70,10 @@ class TcpConfig:
     min_rto_ticks: int = 1
 
     def __post_init__(self) -> None:
+        for field_name in ("mss", "rcv_wnd", "timer_granularity",
+                           "min_rto_ticks"):
+            if not math.isfinite(getattr(self, field_name)):
+                raise ValueError(f"{field_name} must be finite")
         if self.mss < 1:
             raise ValueError("mss must be >= 1")
         if self.rcv_wnd < 2 * self.mss:
@@ -98,8 +102,10 @@ class TcpSender:
     """Congestion-controlled bulk sender for one flow.
 
     All public entry points return the segments to put on the wire.
-    The caller owns the clock and the timer: whenever rto_deadline or
-    timer_epoch changes it must (re)schedule a callback to on_timeout.
+    The caller owns the clock and the timer: after every entry point it
+    reads rto_deadline, and while that is set it calls on_timeout with
+    the clock at exactly rto_deadline (None means no timer is running).
+    Any entry point may move the deadline earlier or later.
     """
 
     def __init__(self, flow_id: int, config: TcpConfig):
@@ -120,7 +126,6 @@ class TcpSender:
         self.rto = INITIAL_RTO_S
         self.backoff = 1
         self.rto_deadline: float | None = None
-        self.timer_epoch = 0
         # (seq, end, sent_at) of the one segment currently being timed.
         self._timing: tuple[int, int, float] | None = None
         self.sack_scoreboard: list[tuple[int, int]] = []
@@ -164,12 +169,6 @@ class TcpSender:
 
     def _arm_timer(self, now: float) -> None:
         self.rto_deadline = now + self.effective_rto()
-        self.timer_epoch += 1
-
-    def _clear_timer(self) -> None:
-        if self.rto_deadline is not None:
-            self.rto_deadline = None
-            self.timer_epoch += 1
 
     def _rto_update(self, sample: float) -> None:
         if self.srtt is None:
@@ -332,7 +331,7 @@ class TcpSender:
         if self.outstanding > 0:
             self._arm_timer(now)
         else:
-            self._clear_timer()
+            self.rto_deadline = None
         return out
 
     def _on_duplicate_ack(self, now: float) -> list[Segment]:
@@ -363,7 +362,7 @@ class TcpSender:
 
     def on_timeout(self, now: float) -> list[Segment]:
         if self.outstanding == 0:
-            self._clear_timer()
+            self.rto_deadline = None
             return []
         mss = self.config.mss
         self.timeouts += 1

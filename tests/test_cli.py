@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, CSV emission, exit codes."""
 
 import io
+import pathlib
 import re
 
 import pytest
@@ -37,6 +38,23 @@ mtu = 750
 flows = 2
 mtu = 375
 """
+
+
+DEFAULTS_SCN = pathlib.Path(__file__).parents[1] / "scenarios" / "defaults.scn"
+
+
+@pytest.fixture
+def starved_file(tmp_path):
+    """The shipped defaults cut to 2 s, with access links too slow for a
+    single packet to reach the bottleneck."""
+    text = DEFAULTS_SCN.read_text()
+    text = text.replace("duration_s = 60", "duration_s = 2")
+    text = text.replace("warmup_s = 10", "warmup_s = 1")
+    text = text.replace("bottleneck_delay_ms = 15",
+                        "bottleneck_delay_ms = 15\naccess_rate_mbps = 1e-9")
+    path = tmp_path / "starved.scn"
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.fixture
@@ -168,6 +186,14 @@ class TestRunCommand:
         assert field in err
         assert out == ""
 
+    def test_no_bottleneck_arrivals_exits_3_with_diagnostic(self, starved_file):
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_run(starved_file, None, None, env={}, **k))
+        assert rc == cli.EXIT_RUNTIME
+        assert "stalled: no packet reached the bottleneck in 2 s" in err
+        assert "drained" not in err
+        assert len(out.strip().splitlines()) == 1 + 3
+
     def test_missing_file_exits_2(self, tmp_path):
         rc, _, err = run_cli(
             lambda **k: cli.cmd_run(str(tmp_path / "nope.scn"), None, None,
@@ -227,6 +253,13 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 3
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["cli-test/RED_1-reno-15ms"] * 3 + ["cli-test/RED_2-reno-15ms"] * 3
+
+    def test_stalled_cell_exits_3_with_diagnostic(self, starved_file):
+        rc, _, err = run_cli(
+            lambda **k: cli.cmd_sweep(starved_file, "RED_1", "reno", "15",
+                                      None, None, env={}, **k))
+        assert rc == cli.EXIT_RUNTIME
+        assert "RED_1-reno-15ms: runtime diagnostic: stalled: no packet" in err
 
     def test_bad_variant_list_exits_2(self, scenario_file):
         rc, _, err = run_cli(

@@ -131,13 +131,29 @@ class TestScenarioValidation:
 # ---------------------------------------------------------------
 
 class TestTopology:
-    def test_paper_defaults_build_124_links(self):
-        sim = DumbbellSim(make_scenario())
-        assert sim.link_count == 124
+    def test_lone_flow_first_ack_crosses_every_hop_once(self, monkeypatch):
+        # A 1540-byte data packet (the mtu counts the 40-byte header)
+        # crosses the sender access, bottleneck and receive access links,
+        # each serializing it and adding its delay.  The acknowledgment
+        # takes the access delay twice with no serialization, and the
+        # reverse bottleneck's 40-byte serialization plus its delay.
+        d, a = 0.007, 0.0013
+        ack_times = []
+        on_ack = TcpSender.on_ack
 
-    def test_single_flow_builds_minimal_path(self):
-        sim = DumbbellSim(make_scenario(groups=(FlowGroup("solo", 1, 1500),)))
-        assert sim.link_count == 6
+        def recording_on_ack(sender, seg, now):
+            ack_times.append(now)
+            return on_ack(sender, seg, now)
+
+        monkeypatch.setattr(TcpSender, "on_ack", recording_on_ack)
+        sim = DumbbellSim(make_scenario(
+            red=RedParams(max_packet_size=1540),
+            groups=(FlowGroup("solo", 1, 1540),), duration_s=2.0,
+            warmup_s=1.0, bottleneck_delay_s=d, access_delay_s=a))
+        sim.run()
+        expected = (sim.start_times[0] + 2 * (1540 * 8 / 100e6)
+                    + 1540 * 8 / 30e6 + 40 * 8 / 30e6 + 2 * d + 4 * a)
+        assert abs(ack_times[0] - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------
@@ -230,6 +246,26 @@ class TestBehavior:
                                                 sim.group_of, len(sc.groups)))
         assert lossy.bottleneck.drops_random > 0
         assert lossy.total_goodput_bps < 30e6
+
+    def test_timeouts_fire_at_the_deadline_and_none_is_skipped(self, monkeypatch):
+        calls = []
+        on_timeout = TcpSender.on_timeout
+
+        def recording_on_timeout(sender, now):
+            calls.append((now, sender.rto_deadline))
+            return on_timeout(sender, now)
+
+        monkeypatch.setattr(TcpSender, "on_timeout", recording_on_timeout)
+        sc = make_scenario(duration_s=6.0, warmup_s=1.0)
+        sim = DumbbellSim(sc, bottleneck_admission_factory=lambda sim:
+                          BernoulliAdmission(0.05, 200, sim.rng,
+                                             sim.group_of, len(sc.groups)))
+        sim.run()
+        assert calls
+        assert all(now == deadline for now, deadline in calls)
+        assert all(f.sender.rto_deadline is None
+                   or f.sender.rto_deadline > sc.duration_s
+                   for f in sim.flows)
 
     def test_stalled_run_is_reported(self, monkeypatch):
         # A sender that never emits anything drains the event queue early;

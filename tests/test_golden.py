@@ -8,6 +8,14 @@ they pin, so a refactor that changes one CSV byte fails here in
 seconds rather than in the acceptance run.  RED_2 is the only variant
 whose denominator scales count by s, and no benchmark workload runs it
 through the engine, so this is its only byte-level guard.
+
+Two more digests lock the regimes where same-time ties between router
+events decide the order: a 0.1 ms access delay, shorter than the
+0.41 ms bottleneck serialization of a 1540-byte packet, and zero
+propagation delay on every hop.  They were taken before the lazy RTO
+timer, the per-flow receive clocks and the plain-delay ACK hops
+replaced the per-ACK timer entries, the receive links and the ACK
+wires.
 """
 
 import hashlib
@@ -35,9 +43,14 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("variant, tcp", list(GOLDEN),
-                         ids=[f"{v}-{t}" for v, t in GOLDEN])
-def test_csv_rows_match_pinned_digest(variant, tcp):
+# (variant, tcp, bottleneck delay s, access delay s) -> digest
+TIE_FRAGILE = {
+    ("RED_4", "reno", 0.015, 0.0001): "008b6ff8fc00dde4760a35d27dfa06bf3cc463e1d24c9ddca96a6c2c0df16b46",
+    ("RED_5", "sack", 0.0, 0.0): "88183fdbb534406814c574bd5849f51a0f418441b937822897b15baccc0dddf5",
+}
+
+
+def rows_digest(variant, tcp, bottleneck_delay_s, access_delay_s=0.001):
     scenario = Scenario(
         name="golden",
         red_variant=RedVariant(variant),
@@ -47,8 +60,22 @@ def test_csv_rows_match_pinned_digest(variant, tcp):
         duration_s=5.0,
         warmup_s=1.0,
         seed=1,
-        bottleneck_delay_s=0.015,
+        bottleneck_delay_s=bottleneck_delay_s,
+        access_delay_s=access_delay_s,
     )
     rows = report_rows(run_scenario(scenario))
-    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest(), rows
+
+
+@pytest.mark.parametrize("variant, tcp", list(GOLDEN),
+                         ids=[f"{v}-{t}" for v, t in GOLDEN])
+def test_csv_rows_match_pinned_digest(variant, tcp):
+    digest, rows = rows_digest(variant, tcp, 0.015)
     assert digest == GOLDEN[(variant, tcp)], "\n".join(rows)
+
+
+@pytest.mark.parametrize("case", list(TIE_FRAGILE),
+                         ids=[f"{v}-{t}-d{d}-a{a}" for v, t, d, a in TIE_FRAGILE])
+def test_tie_fragile_rows_match_pinned_digest(case):
+    digest, rows = rows_digest(*case)
+    assert digest == TIE_FRAGILE[case], "\n".join(rows)

@@ -93,10 +93,14 @@ class TestConfig:
             {"mss": 1460, "rcv_wnd": 1460},
             {"timer_granularity": 0.0},
             {"min_rto_ticks": 0},
+            {"timer_granularity": float("nan")},
+            {"rcv_wnd": float("inf")},
+            {"mss": float("nan")},
+            {"min_rto_ticks": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=list(kwargs)[-1]):
             TcpConfig(**kwargs)
 
     def test_segment_wire_size_includes_header(self):
