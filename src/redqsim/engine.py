@@ -13,10 +13,15 @@ one-way bottleneck links (data direction guarded by the drop
 gatekeeper, return direction a plain bounded FIFO), and every receiver
 hangs off the second router on its own access link, so the round-trip
 floor is twice the bottleneck delay plus four access delays.  Receive
-access links are per-flow clocks and the acknowledgment hops next to
-them plain access-delay events; sender access links keep their service
-events, whose same-time ties with gatekeeper arrivals fix the event
-order.  Each flow keeps at most one pending retransmission-timer entry.
+access links are per-flow clocks; sender access links and the data
+bottleneck keep their service events, whose same-time ties with
+gatekeeper arrivals fix the event order.  Each flow keeps at most one
+pending retransmission-timer entry.  The return queue is a deque of
+departure times: every ACK reaches it one access delay after its
+receiver event, in receiver-event order, so that event serves it and
+schedules only its arrival at the sender.  Tie rule: a departure at the
+instant an ACK arrives leaves first, which matters only when the queue
+is full then.
 """
 
 from __future__ import annotations
@@ -234,22 +239,6 @@ class BernoulliAdmission(Admission):
         return Verdict.ACCEPT
 
 
-class FifoAdmission(Admission):
-    """Plain bounded tail-drop queue (the acknowledgment direction).
-
-    All traffic counts as one group and no random draw is made.
-    """
-
-    def __init__(self, cap: int):
-        super().__init__(lambda _flow_id: 0, 1)
-        self.cap = cap
-
-    def verdict(self, seg: Segment) -> Verdict:
-        if self.occupancy >= self.cap:
-            return Verdict.FORCED_DROP_BUFFER
-        return Verdict.ACCEPT
-
-
 # ---------------------------------------------------------------
 # links
 # ---------------------------------------------------------------
@@ -257,8 +246,9 @@ class FifoAdmission(Admission):
 class Link:
     """One-way link: optional admission, serialization, propagation.
 
-    The admission policy's occupancy covers both waiting and in-service
-    packets; departed() fires when serialization completes.
+    The backlog's head is in service, so a non-empty backlog means busy.
+    The admission's occupancy covers waiting and in-service packets;
+    departed() fires when serialization completes.
     """
 
     def __init__(
@@ -275,17 +265,15 @@ class Link:
         self.deliver = deliver
         self.admission = admission
         self._backlog: deque[Segment] = deque()
-        self._busy = False
 
     def send(self, seg: Segment) -> None:
         if self.admission is not None and not self.admission.admit(seg):
             return
         self._backlog.append(seg)
-        if not self._busy:
+        if len(self._backlog) == 1:
             self._start_service()
 
     def _start_service(self) -> None:
-        self._busy = True
         seg = self._backlog[0]
         tx_time = seg.wire_bytes * 8.0 / self.rate_bps
         self.eq.schedule(tx_time, EventKind.LINK_DONE, self._finish_service)
@@ -299,8 +287,6 @@ class Link:
         )
         if self._backlog:
             self._start_service()
-        else:
-            self._busy = False
 
 
 # ---------------------------------------------------------------
@@ -333,8 +319,8 @@ class Scenario:
         if not self.name:
             raise ConfigError("name", "must be non-empty")
         for field_name, value in (
-            ("duration", self.duration_s),
-            ("warmup", self.warmup_s),
+            ("duration_s", self.duration_s),
+            ("warmup_s", self.warmup_s),
             ("bottleneck_rate_mbps", self.bottleneck_rate_bps),
             ("access_rate_mbps", self.access_rate_bps),
             ("bottleneck_delay_ms", self.bottleneck_delay_s),
@@ -343,9 +329,9 @@ class Scenario:
             if not math.isfinite(value):
                 raise ConfigError(field_name, "must be finite")
         if self.duration_s <= 0.0:
-            raise ConfigError("duration", "must be > 0")
+            raise ConfigError("duration_s", "must be > 0")
         if not 0.0 <= self.warmup_s < self.duration_s:
-            raise ConfigError("warmup", "must satisfy 0 <= warmup < duration")
+            raise ConfigError("warmup_s", "must satisfy 0 <= warmup_s < duration_s")
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
         if self.bottleneck_rate_bps <= 0.0:
@@ -451,16 +437,15 @@ class DumbbellSim:
         else:
             bottleneck_admission = bottleneck_admission_factory(self)
         self.bottleneck_admission = bottleneck_admission
-        self.reverse_admission = FifoAdmission(scenario.red.buffer_cap)
+        # Return-queue departure times (the length is the occupancy).
+        self._ack_departures: deque[float] = deque()
+        self.reverse_arrivals = 0
+        self.reverse_drops = 0
 
         eq = self.eq
         self.bottleneck_link = Link(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
             self._deliver_to_receiver_side, admission=bottleneck_admission,
-        )
-        self.reverse_link = Link(
-            eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
-            self._deliver_to_sender_side, admission=self.reverse_admission,
         )
         for flow in self.flows:
             flow.access_link = Link(
@@ -490,14 +475,27 @@ class DumbbellSim:
         )
 
     def _data_reaches_receiver(self, seg: Segment) -> None:
+        # The ACK reaches the return queue one access delay from now, in
+        # receiver-event order, so it is judged here after every departure
+        # up to that instant, with a Link's float operations in its order.
+        sc = self.scenario
         flow = self.flows[seg.flow_id]
         ack = flow.receiver.on_data(seg, self.eq.now)
-        self.eq.schedule(self.scenario.access_delay_s, EventKind.ARRIVAL,
-                         lambda: self.reverse_link.send(ack))
-
-    def _deliver_to_sender_side(self, seg: Segment) -> None:
-        self.eq.schedule(self.scenario.access_delay_s, EventKind.ARRIVAL,
-                         lambda: self._ack_reaches_sender(seg))
+        arrive = self.eq.now + sc.access_delay_s
+        departures = self._ack_departures
+        while departures and departures[0] <= arrive:
+            departures.popleft()
+        self.reverse_arrivals += 1
+        if len(departures) >= sc.red.buffer_cap:
+            self.reverse_drops += 1
+            return
+        start = departures[-1] if departures else arrive
+        done = start + ack.wire_bytes * 8.0 / sc.bottleneck_rate_bps
+        departures.append(done)
+        self.eq.schedule_at(
+            (done + sc.bottleneck_delay_s) + sc.access_delay_s,
+            EventKind.ARRIVAL, lambda: self._ack_reaches_sender(ack),
+        )
 
     def _ack_reaches_sender(self, seg: Segment) -> None:
         flow = self.flows[seg.flow_id]
@@ -559,7 +557,8 @@ class DumbbellSim:
             ],
             window=counters - self._warmup_counters,
             whole_run=counters,
-            reverse=self.reverse_admission.counters,
+            reverse_arrivals=self.reverse_arrivals,
+            reverse_drops=self.reverse_drops,
             residual_q=self.bottleneck_admission.occupancy,
             event_count=self.eq.event_count,
             drained=drained,

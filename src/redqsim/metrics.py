@@ -8,6 +8,11 @@ arrival is either accepted or dropped, and every accepted packet either
 departed or still sits in the queue.  Arrivals, accepts, drops and
 departures are each counted where they happen, so either identity can
 fail when the queue loses track of a packet.
+
+RunReport.reverse_arrivals and reverse_drops tally the acknowledgment
+queue over the whole run, in the receiver event one access delay before
+each ACK reaches it, so ACKs due there less than one access delay after
+duration_s count too.  Neither reaches the CSV.
 """
 
 from __future__ import annotations
@@ -102,7 +107,8 @@ def build_run_report(
     delivered_delta: list[int],
     window,
     whole_run,
-    reverse,
+    reverse_arrivals: int,
+    reverse_drops: int,
     residual_q: int,
     event_count: int,
     drained: bool,
@@ -110,8 +116,8 @@ def build_run_report(
     """Assemble a run's report from its queue counters.
 
     window holds the bottleneck tallies of the measurement window (final
-    counters minus the warmup copy), whole_run the final ones, reverse
-    those of the acknowledgment-direction queue; delivered_delta is the
+    counters minus the warmup copy), whole_run the final ones, reverse_*
+    the acknowledgment-direction queue's tallies; delivered_delta is the
     per-flow unique payload delivered in the window, and drained tells
     whether the event queue ran dry before the configured duration.
     A run with flows is stalled if it drained or if no packet ever
@@ -181,8 +187,8 @@ def build_run_report(
         flow_goodput_bps=flow_goodput,
         total_goodput_bps=sum(flow_goodput),
         bottleneck=audit,
-        reverse_arrivals=sum(reverse.arrivals),
-        reverse_drops=sum(reverse.drops_buffer),
+        reverse_arrivals=reverse_arrivals,
+        reverse_drops=reverse_drops,
         event_count=event_count,
         stalled=stalled,
         diagnostics=tuple(diagnostics),

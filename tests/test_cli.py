@@ -186,6 +186,19 @@ class TestRunCommand:
         assert field in err
         assert out == ""
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("duration_s = 4", "duration_s = -1", "duration_s"),
+        ("warmup_s = 1", "warmup_s = 4", "warmup_s"),
+    ], ids=["duration_s", "warmup_s"])
+    def test_bad_window_exits_2_and_names_file_key(self, tmp_path, old, new, field):
+        path = tmp_path / "window.scn"
+        path.write_text(SCENARIO_TEXT.replace(old, new))
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_run(str(path), None, None, env={}, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: {field}: ")
+        assert out == ""
+
     def test_no_bottleneck_arrivals_exits_3_with_diagnostic(self, starved_file):
         rc, out, err = run_cli(
             lambda **k: cli.cmd_run(starved_file, None, None, env={}, **k))

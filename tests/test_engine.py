@@ -1,5 +1,7 @@
 """Tests for the discrete-event core and the dumbbell simulation."""
 
+import math
+
 import pytest
 
 from redqsim.cli import report_rows
@@ -15,7 +17,7 @@ from redqsim.engine import (
     run_scenario,
 )
 from redqsim.red import RedParams, RedVariant
-from redqsim.tcp import TcpSender, TcpVariant
+from redqsim.tcp import Segment, TcpSender, TcpVariant
 
 THREE_GROUPS = (
     FlowGroup("large", 20, 1500),
@@ -97,8 +99,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "overrides, field",
         [
-            (dict(duration_s=0.0), "duration"),
-            (dict(warmup_s=10.0), "warmup"),
+            (dict(duration_s=0.0), "duration_s"),
+            (dict(warmup_s=10.0), "warmup_s"),
             (dict(seed=-1), "seed"),
             (dict(bottleneck_rate_bps=0.0), "bottleneck_rate_mbps"),
             (dict(bottleneck_delay_s=-0.001), "bottleneck_delay_ms"),
@@ -106,7 +108,7 @@ class TestScenarioValidation:
             (dict(groups=(FlowGroup("g", 1, 40),)), "mtu"),
             (dict(groups=(FlowGroup("g", 1, 3000),)), "mtu"),
             (dict(groups=(FlowGroup("a", 1, 750), FlowGroup("a", 1, 375))), "group"),
-            (dict(duration_s=float("inf")), "duration"),
+            (dict(duration_s=float("inf")), "duration_s"),
             (dict(bottleneck_rate_bps=float("inf")), "bottleneck_rate_mbps"),
             (dict(access_rate_bps=float("nan")), "access_rate_mbps"),
             (dict(bottleneck_delay_s=float("nan")), "bottleneck_delay_ms"),
@@ -154,6 +156,21 @@ class TestTopology:
         expected = (sim.start_times[0] + 2 * (1540 * 8 / 100e6)
                     + 1540 * 8 / 30e6 + 40 * 8 / 30e6 + 2 * d + 4 * a)
         assert abs(ack_times[0] - expected) <= 1e-12
+
+    def test_ack_queue_departure_leaves_before_a_same_time_arrival(self):
+        # A one-ACK return queue with no access delay: the first ACK
+        # departs at `done`; an ACK just before then finds the queue full,
+        # and one at `done` itself finds it empty.
+        sim = DumbbellSim(make_scenario(
+            red=RedParams(min_th=0.0, max_th=1.0, buffer_cap=1),
+            groups=(FlowGroup("solo", 1, 1500),), access_delay_s=0.0))
+        done = 40 * 8.0 / 30e6
+        seg = Segment(0, seq=0, payload=1460)
+        for when in (0.0, math.nextafter(done, 0.0), done):
+            sim.eq.schedule_at(when, EventKind.ARRIVAL,
+                               lambda: sim._data_reaches_receiver(seg))
+        sim.eq.run(until=done)
+        assert (sim.reverse_arrivals, sim.reverse_drops) == (3, 1)
 
 
 # ---------------------------------------------------------------

@@ -16,6 +16,13 @@ propagation delay on every hop.  They were taken before the lazy RTO
 timer, the per-flow receive clocks and the plain-delay ACK hops
 replaced the per-ACK timer entries, the receive links and the ACK
 wires.
+
+The last digest locks the regime where the acknowledgment queue itself
+overflows: a two-packet buffer, 400 flows behind 5 Mbit/s access links
+and zero delay on every hop, where ACK arrivals and departures at that
+queue can share an instant.  The run drops ACKs.  The digest was taken
+before the return queue moved from a link with its own service events
+into the receiver event, and was not re-pinned after.
 """
 
 import hashlib
@@ -79,3 +86,27 @@ def test_csv_rows_match_pinned_digest(variant, tcp):
 def test_tie_fragile_rows_match_pinned_digest(case):
     digest, rows = rows_digest(*case)
     assert digest == TIE_FRAGILE[case], "\n".join(rows)
+
+
+REVERSE_DROP_DIGEST = "72da17546466f31980a81521eb8f76bac2b60cbdbf35615f5e2b3ef7d1b14c47"
+
+
+def test_reverse_drop_rows_match_pinned_digest():
+    scenario = Scenario(
+        name="rev",
+        red_variant=RedVariant.RED_5,
+        tcp_variant=TcpVariant.SACK,
+        red=RedParams(min_th=1, max_th=2, buffer_cap=2),
+        groups=(FlowGroup("large", 200, 1500), FlowGroup("tiny", 200, 41)),
+        duration_s=3.0,
+        warmup_s=0.5,
+        seed=3,
+        access_rate_bps=5e6,
+        bottleneck_delay_s=0.0,
+        access_delay_s=0.0,
+    )
+    report = run_scenario(scenario)
+    rows = report_rows(report)
+    assert report.reverse_drops > 0
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == \
+        REVERSE_DROP_DIGEST, "\n".join(rows)
