@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import os
 import sys
 
@@ -316,15 +317,10 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
 
 def sweep_cells(variants, tcps, delays_ms, base_seed):
     """Deterministic sweep order with per-cell derived seeds."""
-    cells = []
-    index = 0
-    for variant in variants:
-        for tcp in tcps:
-            for delay in delays_ms:
-                seed = (base_seed * SWEEP_SEED_MULTIPLIER + index) % SWEEP_SEED_MODULUS
-                cells.append((variant, tcp, delay, seed))
-                index += 1
-    return cells
+    grid = itertools.product(variants, tcps, delays_ms)
+    return [(variant, tcp, delay,
+             (base_seed * SWEEP_SEED_MULTIPLIER + index) % SWEEP_SEED_MODULUS)
+            for index, (variant, tcp, delay) in enumerate(grid)]
 
 
 def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
@@ -391,6 +387,11 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
             raise ConfigError("pb", f"--pb must be in (0, 1], got {p_b}")
         if trials <= 0:
             raise ConfigError("trials", f"--trials must be positive, got {trials}")
+        try:
+            exact = interdrop_pmf_exact(variant, p_b, stream)
+        except (ValueError, RuntimeError) as exc:
+            raise ConfigError("pb", f"--pb {p_b:g} is too small for an exact "
+                              f"gap law over sizes {list(sizes)} ({exc})") from None
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
@@ -401,7 +402,6 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
             f"{VALIDATE_TV_THRESHOLD} TV threshold is statistically meaningless\n"
         )
 
-    exact = interdrop_pmf_exact(variant, p_b, stream)
     sampled = montecarlo_interdrop(variant, p_b, stream, trials=trials, seed=seed)
     tv = tv_distance(exact, sampled)
 

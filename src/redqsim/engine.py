@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .red import RedParams, RedState, RedVariant, Verdict, on_packet_arrival
+from .red import VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide
 from .tcp import Segment, TcpConfig, TcpReceiver, TcpSender, TcpVariant
 from . import metrics
 
@@ -125,12 +125,6 @@ class QueueCounters:
         self.drops_buffer = [0] * n_groups
         self.departed = 0
         self.max_q = 0
-        self.by_verdict = {
-            Verdict.ACCEPT: self.accepted,
-            Verdict.RANDOM_DROP: self.drops_random,
-            Verdict.FORCED_DROP_AVG: self.drops_forced_avg,
-            Verdict.FORCED_DROP_BUFFER: self.drops_buffer,
-        }
 
     def copy(self) -> "QueueCounters":
         return copy.deepcopy(self)
@@ -148,34 +142,34 @@ class QueueCounters:
 class Admission:
     """Admission control for a router queue: one verdict rule per subclass.
 
-    admit() tallies each arrival and its verdict by traffic group and
-    keeps the occupancy that the verdict rules read.
+    admit() judges a packet that finds q packets at the queue (the
+    link's backlog, which owns the length) and tallies the arrival and
+    its verdict by traffic group.
     """
 
     def __init__(self, group_of: Callable[[int], int], n_groups: int):
         self.group_of = group_of
-        self.occupancy = 0
         self.counters = QueueCounters(n_groups)
 
-    def verdict(self, seg: Segment) -> Verdict:
+    def verdict(self, seg: Segment, q: int) -> Verdict:
         raise NotImplementedError
 
-    def admit(self, seg: Segment) -> bool:
+    def admit(self, seg: Segment, q: int) -> bool:
         c = self.counters
         g = self.group_of(seg.flow_id)
         c.arrivals[g] += 1
-        verdict = self.verdict(seg)
-        c.by_verdict[verdict][g] += 1
-        if verdict is not Verdict.ACCEPT:
-            return False
-        self.occupancy += 1
-        if self.occupancy > c.max_q:
-            c.max_q = self.occupancy
-        return True
-
-    def departed(self) -> None:
-        self.occupancy -= 1
-        self.counters.departed += 1
+        verdict = self.verdict(seg, q)
+        if verdict is Verdict.ACCEPT:
+            c.accepted[g] += 1
+            c.max_q = max(c.max_q, q + 1)
+            return True
+        if verdict is Verdict.RANDOM_DROP:
+            c.drops_random[g] += 1
+        elif verdict is Verdict.FORCED_DROP_AVG:
+            c.drops_forced_avg[g] += 1
+        else:
+            c.drops_buffer[g] += 1
+        return False
 
 
 class RedAdmission(Admission):
@@ -196,16 +190,14 @@ class RedAdmission(Admission):
     ):
         super().__init__(group_of, n_groups)
         self.params = params
-        self.variant = variant
         self.rng = rng
-        self.state = RedState()
+        self.state = RedState()  # its q is unused: the link owns the length
+        self.row = VARIANT_EXPONENTS[variant]
 
-    def verdict(self, seg: Segment) -> Verdict:
-        state = self.state
-        state.q = self.occupancy  # the gatekeeper's own q bump is discarded
-        return on_packet_arrival(
-            state, self.params, self.variant, seg.wire_bytes, self.rng.random()
-        ).verdict
+    def verdict(self, seg: Segment, q: int) -> Verdict:
+        # Scenario bounds every mtu by max_packet_size: a valid length.
+        return decide(self.state, self.params, self.row, q, seg.wire_bytes,
+                      self.rng.random())[0]
 
 
 class BernoulliAdmission(Admission):
@@ -230,9 +222,9 @@ class BernoulliAdmission(Admission):
         self.cap = cap
         self.rng = rng
 
-    def verdict(self, seg: Segment) -> Verdict:
+    def verdict(self, seg: Segment, q: int) -> Verdict:
         u = self.rng.random()
-        if self.occupancy >= self.cap:
+        if q >= self.cap:
             return Verdict.FORCED_DROP_BUFFER
         if u < self.loss_prob:
             return Verdict.RANDOM_DROP
@@ -246,9 +238,9 @@ class BernoulliAdmission(Admission):
 class Link:
     """One-way link: optional admission, serialization, propagation.
 
-    The backlog's head is in service, so a non-empty backlog means busy.
-    The admission's occupancy covers waiting and in-service packets;
-    departed() fires when serialization completes.
+    The backlog holds the waiting packets and, at its head, the one in
+    service, so a non-empty backlog means busy.  Its length is the queue
+    length that the admission judges.
     """
 
     def __init__(
@@ -264,28 +256,28 @@ class Link:
         self.prop_delay_s = prop_delay_s
         self.deliver = deliver
         self.admission = admission
-        self._backlog: deque[Segment] = deque()
+        self.backlog: deque[Segment] = deque()
 
     def send(self, seg: Segment) -> None:
-        if self.admission is not None and not self.admission.admit(seg):
+        if self.admission is not None and not self.admission.admit(seg, len(self.backlog)):
             return
-        self._backlog.append(seg)
-        if len(self._backlog) == 1:
+        self.backlog.append(seg)
+        if len(self.backlog) == 1:
             self._start_service()
 
     def _start_service(self) -> None:
-        seg = self._backlog[0]
+        seg = self.backlog[0]
         tx_time = seg.wire_bytes * 8.0 / self.rate_bps
         self.eq.schedule(tx_time, EventKind.LINK_DONE, self._finish_service)
 
     def _finish_service(self) -> None:
-        seg = self._backlog.popleft()
+        seg = self.backlog.popleft()
         if self.admission is not None:
-            self.admission.departed()
+            self.admission.counters.departed += 1
         self.eq.schedule(
             self.prop_delay_s, EventKind.ARRIVAL, lambda s=seg: self.deliver(s)
         )
-        if self._backlog:
+        if self.backlog:
             self._start_service()
 
 
@@ -428,15 +420,11 @@ class DumbbellSim:
         # Start jitter is drawn before any other randomness, in flow order.
         self.start_times = [self.rng.random() for _ in self.flows]
 
-        n_groups = len(scenario.groups)
         if bottleneck_admission_factory is None:
-            bottleneck_admission = RedAdmission(
-                scenario.red, scenario.red_variant, self.rng,
-                self.group_of, n_groups,
-            )
+            admission = RedAdmission(scenario.red, scenario.red_variant,
+                                     self.rng, self.group_of, len(scenario.groups))
         else:
-            bottleneck_admission = bottleneck_admission_factory(self)
-        self.bottleneck_admission = bottleneck_admission
+            admission = bottleneck_admission_factory(self)
         # Return-queue departure times (the length is the occupancy).
         self._ack_departures: deque[float] = deque()
         self.reverse_arrivals = 0
@@ -445,7 +433,7 @@ class DumbbellSim:
         eq = self.eq
         self.bottleneck_link = Link(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
-            self._deliver_to_receiver_side, admission=bottleneck_admission,
+            self._deliver_to_receiver_side, admission=admission,
         )
         for flow in self.flows:
             flow.access_link = Link(
@@ -530,7 +518,7 @@ class DumbbellSim:
         self._transmit(flow, out)
 
     def _take_warmup_marks(self) -> None:
-        self._warmup_counters = self.bottleneck_admission.counters.copy()
+        self._warmup_counters = self.bottleneck_link.admission.counters.copy()
         self._warmup_delivered = [f.receiver.delivered_bytes for f in self.flows]
 
     def run(self) -> metrics.RunReport:
@@ -547,7 +535,7 @@ class DumbbellSim:
             sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_marks
         )
         drained = self.eq.run(sc.duration_s)
-        counters = self.bottleneck_admission.counters
+        counters = self.bottleneck_link.admission.counters
         return metrics.build_run_report(
             scenario=sc,
             group_of=self.group_of,
@@ -559,7 +547,7 @@ class DumbbellSim:
             whole_run=counters,
             reverse_arrivals=self.reverse_arrivals,
             reverse_drops=self.reverse_drops,
-            residual_q=self.bottleneck_admission.occupancy,
+            residual_q=len(self.bottleneck_link.backlog),
             event_count=self.eq.event_count,
             drained=drained,
         )

@@ -5,7 +5,9 @@ arriving packet, whether to accept it or drop it.  The decision is based
 on an exponentially weighted moving average of the queue size and on a
 counter of packets accepted since the last drop.  The five policy
 variants differ only in how the packet length enters the drop
-probability and in how the counter advances.
+probability and in how the counter advances.  decide() is the unchecked
+core for a caller that owns the queue length; on_packet_arrival() is
+the checked entry point that keeps it in RedState.q.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class RedParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
+        for name in ("buffer_cap", "max_packet_size"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
         if not 0.0 < self.w_q <= 1.0:
             raise ValueError("w_q must be in (0, 1]")
         if self.min_th < 0.0:
@@ -147,24 +152,11 @@ def _size_powers(params: RedParams, packet_len: int) -> tuple[float, float, floa
     return (1.0, s, s * s)
 
 
-def compute_pa(
-    variant: RedVariant,
-    params: RedParams,
-    p_b: float,
-    count: float,
-    packet_len: int,
-) -> float:
-    """Final drop probability after count-based uniformization.
+# A variant row's formulas, shared by the checked functions and decide().
 
-    count is the weight accepted since the last drop, so the first
-    packet after a drop is evaluated with count = 0.  A non-positive
-    denominator means the uniformization window is exhausted and the
-    packet is dropped with certainty.
-    """
-    powers = _size_powers(params, packet_len)
-    a, b, _c = VARIANT_EXPONENTS[variant]
-    num = powers[a] * p_b
-    den = 1.0 - count * powers[b] * p_b
+def _row_pa(row: tuple[int, int, int], powers: tuple, p_b: float, count: float) -> float:
+    num = powers[row[0]] * p_b
+    den = 1.0 - count * powers[row[1]] * p_b
     if den <= 0.0:
         return 1.0
     p_a = num / den
@@ -175,19 +167,37 @@ def compute_pa(
     return p_a
 
 
+def _row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
+              state: RedState, u: float) -> tuple[bool, float]:
+    p_a = _row_pa(row, powers, p_b, state.count)
+    if u < p_a:
+        state.count = 0.0
+        return True, p_a
+    state.count += powers[row[2]]
+    return False, p_a
+
+
+def compute_pa(variant: RedVariant, params: RedParams, p_b: float,
+               count: float, packet_len: int) -> float:
+    """Final drop probability after count-based uniformization.
+
+    count is the weight accepted since the last drop, so the first
+    packet after a drop is evaluated with count = 0.  A non-positive
+    denominator means the uniformization window is exhausted and the
+    packet is dropped with certainty.
+    """
+    return _row_pa(VARIANT_EXPONENTS[variant], _size_powers(params, packet_len),
+                   p_b, count)
+
+
 def count_increment(variant: RedVariant, params: RedParams, packet_len: int) -> float:
     """Weight an accepted packet adds to the post-drop counter."""
     return _size_powers(params, packet_len)[VARIANT_EXPONENTS[variant][2]]
 
 
-def random_region_step(
-    variant: RedVariant,
-    params: RedParams,
-    p_b: float,
-    state: RedState,
-    packet_len: int,
-    u: float,
-) -> tuple[bool, float]:
+def random_region_step(variant: RedVariant, params: RedParams, p_b: float,
+                       state: RedState, packet_len: int,
+                       u: float) -> tuple[bool, float]:
     """One random-region decision with count bookkeeping.
 
     Evaluates p_a against the caller-supplied uniform draw u, then
@@ -195,46 +205,50 @@ def random_region_step(
     separately so the drop-law harness can drive the exact production
     mechanics with a frozen p_b.  Returns (dropped, p_a).
     """
-    p_a = compute_pa(variant, params, p_b, state.count, packet_len)
-    if u < p_a:
-        state.count = 0.0
-        return True, p_a
-    state.count += count_increment(variant, params, packet_len)
-    return False, p_a
+    return _row_step(VARIANT_EXPONENTS[variant], _size_powers(params, packet_len),
+                     p_b, state, u)
 
 
-def on_packet_arrival(
-    state: RedState,
-    params: RedParams,
-    variant: RedVariant,
-    packet_len: int,
-    u: float,
-) -> DropDecision:
-    """Full admission decision for one arriving packet.
+def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
+           q: int, packet_len: int, u: float) -> tuple[Verdict, float, float]:
+    """Unchecked admission decision for a packet that finds q queued.
 
-    Order: fold q into the average, reject on a full buffer, accept
-    below min_th, force-drop at or above max_th, otherwise draw against
-    p_a.  On accept the caller-visible q is incremented here; the
-    caller decrements it when the packet leaves the queue.
+    row is the variant's VARIANT_EXPONENTS entry; the caller guarantees
+    0 < packet_len <= max_packet_size and 0 <= u < 1.  Order: fold q
+    into the average, reject on a full buffer, accept below min_th,
+    force-drop at or above max_th, otherwise draw against p_a.  Updates
+    avg and count, never q.  Returns (verdict, p_b, p_a); both
+    probabilities are 0 outside the random region.
+    """
+    avg = update_avg(state, params, q)
+    if q >= params.buffer_cap:
+        verdict = Verdict.FORCED_DROP_BUFFER
+    elif avg < params.min_th:
+        verdict = Verdict.ACCEPT
+    elif avg >= params.max_th:
+        verdict = Verdict.FORCED_DROP_AVG
+    else:
+        p_b = compute_pb(params, avg)
+        s = packet_len / params.max_packet_size
+        dropped, p_a = _row_step(row, (1.0, s, s * s), p_b, state, u)
+        return (Verdict.RANDOM_DROP if dropped else Verdict.ACCEPT), p_b, p_a
+    state.count = 0.0
+    return verdict, 0.0, 0.0
+
+
+def on_packet_arrival(state: RedState, params: RedParams, variant: RedVariant,
+                      packet_len: int, u: float) -> DropDecision:
+    """Checked decide() for one arriving packet, with state.q as q.
+
+    Validates packet_len and u, and counts an accepted packet into
+    state.q; the caller decrements q when the packet leaves the queue.
     """
     if not 0 < packet_len <= params.max_packet_size:
         raise ValueError("packet_len must be in (0, max_packet_size]")
     if not 0.0 <= u < 1.0:
         raise ValueError("u must be in [0, 1)")
-    avg = update_avg(state, params, state.q)
-    if state.q >= params.buffer_cap:
-        state.count = 0.0
-        return DropDecision(Verdict.FORCED_DROP_BUFFER)
-    if avg < params.min_th:
-        state.count = 0.0
+    verdict, p_b, p_a = decide(state, params, VARIANT_EXPONENTS[variant],
+                               state.q, packet_len, u)
+    if verdict is Verdict.ACCEPT:
         state.q += 1
-        return DropDecision(Verdict.ACCEPT)
-    if avg >= params.max_th:
-        state.count = 0.0
-        return DropDecision(Verdict.FORCED_DROP_AVG)
-    p_b = compute_pb(params, avg)
-    dropped, p_a = random_region_step(variant, params, p_b, state, packet_len, u)
-    if dropped:
-        return DropDecision(Verdict.RANDOM_DROP, p_b=p_b, p_a=p_a)
-    state.q += 1
-    return DropDecision(Verdict.ACCEPT, p_b=p_b, p_a=p_a)
+    return DropDecision(verdict, p_b, p_a)

@@ -70,10 +70,11 @@ class TcpConfig:
     min_rto_ticks: int = 1
 
     def __post_init__(self) -> None:
-        for field_name in ("mss", "rcv_wnd", "timer_granularity",
-                           "min_rto_ticks"):
-            if not math.isfinite(getattr(self, field_name)):
-                raise ValueError(f"{field_name} must be finite")
+        for field_name in ("mss", "rcv_wnd", "min_rto_ticks"):
+            if not isinstance(getattr(self, field_name), int):
+                raise ValueError(f"{field_name} must be an integer")
+        if not math.isfinite(self.timer_granularity):
+            raise ValueError("timer_granularity must be finite")
         if self.mss < 1:
             raise ValueError("mss must be >= 1")
         if self.rcv_wnd < 2 * self.mss:
@@ -307,17 +308,13 @@ class TcpSender:
             (max(s, ack_no), e) for s, e in self._retx_ranges if e > ack_no
         ]
         if self.in_recovery:
-            if self.config.variant is TcpVariant.RENO:
-                # Any advance ends plain recovery; the window deflates
-                # to its halved value.
+            # Plain recovery ends on any advance, selective at the frontier.
+            if (self.config.variant is TcpVariant.RENO
+                    or ack_no >= self.recovery_point):
                 self.cwnd = self.ssthresh
                 self.in_recovery = False
                 self.dupacks = 0
-            elif ack_no >= self.recovery_point:
-                self.cwnd = self.ssthresh
-                self.in_recovery = False
-                self.dupacks = 0
-                self._retx_ranges = []
+                self._retx_ranges = []  # always empty under plain recovery
         else:
             self.dupacks = 0
             if self.cwnd < self.ssthresh:
@@ -349,13 +346,12 @@ class TcpSender:
         self.in_recovery = True
         self.recovery_point = self.snd_nxt
         self.fast_retransmits += 1
+        out = [self._retransmit(self.snd_una, now)]
         if self.config.variant is TcpVariant.RENO:
             self.cwnd = self.ssthresh + 3.0 * mss
-            out = [self._retransmit(self.snd_una, now)]
             self._retx_ranges = []  # plain recovery does not track refills
         else:
             self.cwnd = self.ssthresh
-            out = [self._retransmit(self.snd_una, now)]
             out.extend(self._emit_recovery(now))
         self._arm_timer(now)
         return out

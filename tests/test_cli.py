@@ -313,12 +313,27 @@ class TestValidateCommand:
                                          120_000, 3, **k))
         assert rc == cli.EXIT_CONFIG
 
-    def test_bad_sizes_exit_2(self):
+    @pytest.mark.parametrize(
+        "variant, p_b, sizes, field",
+        [
+            pytest.param("RED_1", 0.1, "wide", "sizes", id="sizes-not-numbers"),
+            # The exact law's mass misses 1 by more than its tolerance.
+            pytest.param("RED_1", 0.00001, "1500", "pb", id="pb-mass-tolerance"),
+            # The exact law needs more than its 1,000,000-step cap.
+            pytest.param("RED_5", 0.1, "1", "pb", id="pb-step-cap"),
+        ],
+    )
+    def test_bad_input_exits_2_naming_field(self, monkeypatch, variant, p_b,
+                                            sizes, field):
+        def no_trials(*_args, **_kwargs):
+            raise AssertionError("Monte Carlo ran on a rejected input")
+
+        monkeypatch.setattr(cli, "montecarlo_interdrop", no_trials)
         rc, _, err = run_cli(
-            lambda **k: cli.cmd_validate("RED_1", 0.1, "wide", 1500,
+            lambda **k: cli.cmd_validate(variant, p_b, sizes, 1500,
                                          120_000, 3, **k))
         assert rc == cli.EXIT_CONFIG
-        assert "sizes" in err
+        assert err.startswith(f"config error: {field}: ")
 
     def test_threshold_breach_exits_1(self, monkeypatch):
         # Force disagreement by corrupting the sampled law.

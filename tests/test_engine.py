@@ -1,6 +1,7 @@
 """Tests for the discrete-event core and the dumbbell simulation."""
 
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from redqsim.engine import (
     DumbbellSim,
     EventQueue,
     FlowGroup,
+    Link,
     RedAdmission,
     Scenario,
     run_scenario,
@@ -207,10 +209,10 @@ class TestConservation:
 
             seen = 0
 
-            def admit(self, seg):
+            def admit(self, seg, q):
                 self.seen += 1
                 if self.seen % 50:
-                    return super().admit(seg)
+                    return super().admit(seg, q)
                 self.counters.arrivals[self.group_of(seg.flow_id)] += 1
                 return False
 
@@ -222,6 +224,20 @@ class TestConservation:
         assert audit.arrivals != audit.accepted + audit.drops_total
         assert audit.accepted == audit.departed + audit.residual_q
         assert not audit.conserved
+
+    def test_admission_judges_the_link_backlog(self):
+        # The backlog is the only copy of the queue length: a burst into a
+        # cap-3 queue is judged at q = 0, 1, 2, 3, 3 and leaves 3 queued.
+        eq = EventQueue()
+        admission = BernoulliAdmission(0.0, 3, random.Random(1), lambda _f: 0, 1)
+        link = Link(eq, 1e6, 0.0, lambda _seg: None, admission=admission)
+        for _ in range(5):
+            link.send(Segment(0, seq=0, payload=1460))
+        c = admission.counters
+        assert (c.arrivals, c.accepted, c.drops_buffer, c.max_q) == ([5], [3], [2], 3)
+        assert len(link.backlog) == 3
+        eq.run(until=1.0)
+        assert (c.departed, len(link.backlog)) == (3, 0)
 
     def test_occupancy_never_exceeds_buffer_cap(self):
         report = run_scenario(make_scenario(duration_s=6.0, warmup_s=1.0))

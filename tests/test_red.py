@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from redqsim.red import (
+    VARIANT_EXPONENTS,
     DropDecision,
     RedParams,
     RedState,
@@ -15,6 +16,7 @@ from redqsim.red import (
     compute_pa,
     compute_pb,
     count_increment,
+    decide,
     on_packet_arrival,
     random_region_step,
     update_avg,
@@ -52,10 +54,12 @@ class TestRedParams:
             {"min_th": float("nan")},
             {"max_th": float("nan")},
             {"buffer_cap": float("inf")},
+            {"buffer_cap": 200.5},
+            {"max_packet_size": 1500.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=list(kwargs)[-1]):
             RedParams(**kwargs)
 
     def test_serialized_variant_names(self):
@@ -298,6 +302,41 @@ class TestOnPacketArrival:
     def test_rejects_bad_draw(self, params, u):
         with pytest.raises(ValueError):
             on_packet_arrival(RedState(), params, RedVariant.RED_1, 1500, u)
+
+
+# ---------------------------------------------------------------
+# unchecked core against the checked entry point
+# ---------------------------------------------------------------
+
+class TestDecideCore:
+    @given(
+        variant=st.sampled_from(ALL_VARIANTS),
+        w_q=st.floats(min_value=0.05, max_value=1.0),
+        stream=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10),
+                st.integers(min_value=1, max_value=1500),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    def test_core_agrees_with_on_packet_arrival(self, variant, w_q, stream):
+        # Small thresholds and q up to past buffer_cap visit every branch.
+        params = RedParams(w_q=w_q, min_th=2.0, max_th=6.0, buffer_cap=8)
+        row = VARIANT_EXPONENTS[variant]
+        checked, core = RedState(), RedState()
+        for q, length, u in stream:
+            checked.q = q
+            d = on_packet_arrival(checked, params, variant, length, u)
+            verdict, p_b, p_a = decide(core, params, row, q, length, u)
+            assert (verdict, p_b, p_a) == (d.verdict, d.p_b, d.p_a)
+            assert core.avg == checked.avg and core.count == checked.count
+            assert checked.q == q + (verdict is Verdict.ACCEPT)
+            assert core.q == 0
+            if verdict is not Verdict.ACCEPT:
+                assert core.count == 0.0
 
 
 # ---------------------------------------------------------------

@@ -97,6 +97,8 @@ class TestConfig:
             {"rcv_wnd": float("inf")},
             {"mss": float("nan")},
             {"min_rto_ticks": float("inf")},
+            {"mss": 1460.5},
+            {"min_rto_ticks": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
