@@ -38,15 +38,24 @@ Seed precedence: ``--seed`` flag > ``REDQSIM_SEED`` environment variable >
 
 Sweep cells are ordered variant-major, then tcp, then delay; the cell at
 index ``i`` runs with seed ``(base_seed * 1000003 + i) % 2**31`` so any cell
-is reproducible from the base seed alone.
+is reproducible from the base seed alone.  ``sweep --jobs N`` runs up to
+``min(N, os.cpu_count(), cells)`` cells at once, each in its own forked
+child (see ``redqsim.parallel``); rows, diagnostics and the exit code are
+emitted in cell order, so the output is byte-identical to ``--jobs 1``,
+the default, which runs every cell in this process.
 
 Exit codes: 0 success; 1 validator threshold breach; 2 configuration error
-(message names the offending field); 3 runtime diagnostic (stalled run).
+(message names the offending field); 3 runtime diagnostic, printed to
+stderr: a stalled run (the event queue drained before the configured
+duration, or no packet reached the bottleneck) or a bottleneck audit that
+is not conserved (the message names the broken identity).  A sweep exits
+with the worst code of its cells.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import os
@@ -60,6 +69,7 @@ from .droplaw import (
 )
 from .engine import ConfigError, FlowGroup, Scenario, run_scenario
 from .metrics import RunReport
+from .parallel import ordered_map
 from .red import RedParams, RedVariant
 from .tcp import TcpVariant
 
@@ -70,6 +80,10 @@ EXIT_RUNTIME = 3
 
 VALIDATE_TV_THRESHOLD = 0.02
 MEANINGFUL_TRIALS = 100_000
+# Monte Carlo work cap: trials x the exact law's mean gap, in gatekeeper
+# steps (about a minute of replay); the default 200,000 trials fit under
+# it down to a mean gap of 250 arrivals.
+MAX_TRIAL_STEPS = 50_000_000
 SWEEP_SEED_MULTIPLIER = 1_000_003
 SWEEP_SEED_MODULUS = 2 ** 31
 
@@ -288,6 +302,13 @@ def _resolve_seed(flag_seed: int | None, env: dict, file_seed: int) -> int:
     return file_seed
 
 
+def runtime_problems(report: RunReport) -> list[str]:
+    """Why a run must exit 3: its stall diagnostics and broken identities."""
+    problems = list(report.diagnostics) if report.stalled else []
+    problems += [f"not conserved: {line}" for line in report.bottleneck.violations]
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -307,12 +328,10 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
         return EXIT_CONFIG
     report = run_scenario(scenario)
     _write_csv(report_rows(report), out_path, stdout)
-    if report.stalled:
-        for line in report.diagnostics:
-            stderr.write(
-                f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
-        return EXIT_RUNTIME
-    return EXIT_OK
+    problems = runtime_problems(report)
+    for line in problems:
+        stderr.write(f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
+    return EXIT_RUNTIME if problems else EXIT_OK
 
 
 def sweep_cells(variants, tcps, delays_ms, base_seed):
@@ -323,8 +342,28 @@ def sweep_cells(variants, tcps, delays_ms, base_seed):
             for index, (variant, tcp, delay) in enumerate(grid)]
 
 
+def sweep_cell(base: Scenario, cell) -> tuple[list[str], list[str], int]:
+    """Run one sweep cell: its CSV rows, its stderr lines and its exit code."""
+    variant, tcp, delay, seed = cell
+    cell_name = f"{base.name}/{variant.value}-{tcp.value}-{delay:g}ms"
+    try:
+        scenario = base.with_cell(
+            name=cell_name,
+            red_variant=variant,
+            tcp_variant=tcp,
+            bottleneck_delay_s=delay / 1e3,
+            seed=seed,
+        )
+    except ValueError as exc:
+        return [], [f"cell {cell_name}: config error: {exc}\n"], EXIT_CONFIG
+    report = run_scenario(scenario)
+    problems = runtime_problems(report)
+    messages = [f"cell {cell_name}: runtime diagnostic: {line}\n" for line in problems]
+    return report_rows(report), messages, EXIT_RUNTIME if problems else EXIT_OK
+
+
 def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
-              out_path: str | None, seed_override: int | None,
+              out_path: str | None, seed_override: int | None, jobs: int = 1,
               *, env: dict | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -340,32 +379,20 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
             raise ConfigError("delays-ms", f"--delays-ms must be comma-separated numbers, got {delays_arg!r}") from None
         if not variants or not tcps or not delays:
             raise ConfigError("sweep", "sweep needs at least one variant, one tcp, and one delay")
+        if jobs < 1:
+            raise ConfigError("jobs", f"--jobs must be >= 1, got {jobs}")
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 
+    cells = sweep_cells(variants, tcps, delays, base_seed)
     lines: list[str] = []
     worst = EXIT_OK
-    for variant, tcp, delay, seed in sweep_cells(variants, tcps, delays, base_seed):
-        cell_name = f"{base.name}/{variant.value}-{tcp.value}-{delay:g}ms"
-        try:
-            scenario = base.with_cell(
-                name=cell_name,
-                red_variant=variant,
-                tcp_variant=tcp,
-                bottleneck_delay_s=delay / 1e3,
-                seed=seed,
-            )
-        except ValueError as exc:
-            stderr.write(f"cell {cell_name}: config error: {exc}\n")
-            worst = max(worst, EXIT_CONFIG)
-            continue
-        report = run_scenario(scenario)
-        lines.extend(report_rows(report))
-        if report.stalled:
-            for line in report.diagnostics:
-                stderr.write(f"cell {cell_name}: runtime diagnostic: {line}\n")
-            worst = max(worst, EXIT_RUNTIME)
+    for rows, messages, code in ordered_map(functools.partial(sweep_cell, base),
+                                            cells, jobs):
+        lines.extend(rows)
+        stderr.writelines(messages)
+        worst = max(worst, code)
     _write_csv(lines, out_path, stdout)
     return worst
 
@@ -392,6 +419,12 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
         except (ValueError, RuntimeError) as exc:
             raise ConfigError("pb", f"--pb {p_b:g} is too small for an exact "
                               f"gap law over sizes {list(sizes)} ({exc})") from None
+        mean_gap = exact.mean()
+        if trials * mean_gap > MAX_TRIAL_STEPS:
+            raise ConfigError(
+                "trials", f"--trials {trials} at a mean gap of {mean_gap:.6g} "
+                f"arrivals is about {trials * mean_gap:.3g} gatekeeper steps, over "
+                f"the cap of {MAX_TRIAL_STEPS:.3g}; use fewer trials or a larger --pb")
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
@@ -443,6 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delays-ms", required=True, help="comma list, e.g. 15,80")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the base seed")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="cells run at once in forked children, capped at "
+                              "the CPU count (default 1: every cell in-process)")
 
     p_val = sub.add_parser("validate", help="closed-form vs Monte Carlo inter-drop check")
     p_val.add_argument("--variant", required=True, help="RED_1 .. RED_5")
@@ -463,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_run(args.scenario, args.out, args.seed)
     if args.command == "sweep":
         return cmd_sweep(args.base, args.variants, args.tcp, args.delays_ms,
-                         args.out, args.seed)
+                         args.out, args.seed, args.jobs)
     return cmd_validate(args.variant, args.pb, args.sizes, args.max_size,
                         args.trials, args.seed)
 

@@ -55,11 +55,20 @@ class BottleneckAudit:
         return self.drops_random + self.drops_forced_avg + self.drops_buffer
 
     @property
+    def violations(self) -> tuple[str, ...]:
+        """One line per broken conservation identity."""
+        broken = []
+        if self.arrivals != self.accepted + self.drops_total:
+            broken.append(f"arrivals {self.arrivals} != accepted {self.accepted}"
+                          f" + drops {self.drops_total}")
+        if self.accepted != self.departed + self.residual_q:
+            broken.append(f"accepted {self.accepted} != departed {self.departed}"
+                          f" + residual_q {self.residual_q}")
+        return tuple(broken)
+
+    @property
     def conserved(self) -> bool:
-        return (
-            self.arrivals == self.accepted + self.drops_total
-            and self.accepted == self.departed + self.residual_q
-        )
+        return not self.violations
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ Those assertions are kept at their stated tolerances and fail honestly
 rather than being weakened to fit.
 """
 
+import os
 import random
 import time
 
@@ -37,6 +38,7 @@ from redqsim.engine import (
     Scenario,
     run_scenario,
 )
+from redqsim.parallel import ordered_map
 from redqsim.red import RedParams, RedState, RedVariant, on_packet_arrival
 from redqsim.tcp import TcpVariant
 
@@ -88,15 +90,23 @@ def desk_scenario(variant: RedVariant, delay_ms: int) -> Scenario:
     )
 
 
+def timed_run(cell):
+    """One desk-scale run and the wall time of that run alone."""
+    variant, delay_ms = cell
+    started = time.monotonic()
+    report = run_scenario(desk_scenario(variant, delay_ms))
+    return report, time.monotonic() - started
+
+
 @pytest.fixture(scope="module")
 def runs():
-    """All desk-scale simulation runs, keyed by (variant, delay_ms)."""
-    table = {}
-    for variant, delay_ms in SIM_MATRIX:
-        started = time.monotonic()
-        report = run_scenario(desk_scenario(variant, delay_ms))
-        table[(variant, delay_ms)] = (report, time.monotonic() - started)
-    return table
+    """All desk-scale simulation runs, keyed by (variant, delay_ms).
+
+    They run in forked children, one per CPU at a time; each child times
+    its own run, so criterion 12 still sees every run's wall time alone.
+    """
+    results = ordered_map(timed_run, SIM_MATRIX, jobs=os.cpu_count() or 1)
+    return dict(zip(SIM_MATRIX, results))
 
 
 def record(num: int, ok: bool, detail: str) -> None:

@@ -1,12 +1,14 @@
 """Tests for the command-line interface: parsing, CSV emission, exit codes."""
 
+import dataclasses
 import io
+import os
 import pathlib
 import re
 
 import pytest
 
-from redqsim import cli
+from redqsim import cli, parallel
 from redqsim.engine import ConfigError
 from redqsim.red import RedVariant
 from redqsim.tcp import TcpVariant
@@ -55,6 +57,30 @@ def starved_file(tmp_path):
     path = tmp_path / "starved.scn"
     path.write_text(text)
     return str(path)
+
+
+# Each breaks one conservation identity of a real report by one packet.
+leaks = pytest.mark.parametrize("field, delta, message", [
+    ("arrivals", 1, "not conserved: arrivals "),
+    ("departed", -1, "not conserved: accepted "),
+], ids=["arrival-identity", "departure-identity"])
+
+
+def leak_audits(monkeypatch, field, delta):
+    """Make cli.run_scenario return real reports with one audit count off."""
+    real = cli.run_scenario
+
+    def leaky(scenario):
+        report = real(scenario)
+        audit = dataclasses.replace(
+            report.bottleneck, **{field: getattr(report.bottleneck, field) + delta})
+        return dataclasses.replace(report, bottleneck=audit)
+
+    monkeypatch.setattr(cli, "run_scenario", leaky)
+
+
+def _no_fork(*_args, **_kwargs):
+    raise AssertionError("a child was forked")
 
 
 @pytest.fixture
@@ -207,6 +233,17 @@ class TestRunCommand:
         assert "drained" not in err
         assert len(out.strip().splitlines()) == 1 + 3
 
+    @leaks
+    def test_unconserved_audit_exits_3_naming_identity(self, scenario_file, monkeypatch,
+                                                       field, delta, message):
+        leak_audits(monkeypatch, field, delta)
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_run(scenario_file, None, None, env={}, **k))
+        assert rc == cli.EXIT_RUNTIME
+        assert err.startswith(f"runtime diagnostic: scenario 'cli-test': {message}")
+        assert len(err.splitlines()) == 1
+        assert len(out.strip().splitlines()) == 1 + 3
+
     def test_missing_file_exits_2(self, tmp_path):
         rc, _, err = run_cli(
             lambda **k: cli.cmd_run(str(tmp_path / "nope.scn"), None, None,
@@ -274,6 +311,38 @@ class TestSweepCommand:
         assert rc == cli.EXIT_RUNTIME
         assert "RED_1-reno-15ms: runtime diagnostic: stalled: no packet" in err
 
+    @leaks
+    def test_unconserved_audit_exits_3_naming_identity(self, scenario_file, monkeypatch,
+                                                       field, delta, message):
+        leak_audits(monkeypatch, field, delta)
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_sweep(scenario_file, "RED_1", "reno", "15",
+                                      None, None, env={}, **k))
+        assert rc == cli.EXIT_RUNTIME
+        assert err.startswith(
+            f"cell cli-test/RED_1-reno-15ms: runtime diagnostic: {message}")
+        assert len(err.splitlines()) == 1
+        assert len(out.strip().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_bad_jobs_exits_2_before_any_fork(self, scenario_file, monkeypatch, jobs):
+        monkeypatch.setattr(parallel, "start_child", _no_fork)
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_sweep(scenario_file, "RED_1,RED_2", "reno", "15",
+                                      None, None, jobs, env={}, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: jobs: ")
+        assert out == ""
+
+    def test_one_cpu_runs_cells_inline(self, scenario_file, monkeypatch):
+        monkeypatch.setattr(parallel, "start_child", _no_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        rc, out, _ = run_cli(
+            lambda **k: cli.cmd_sweep(scenario_file, "RED_1,RED_2", "reno", "15",
+                                      None, None, 4, env={}, **k))
+        assert rc == cli.EXIT_OK
+        assert len(out.strip().splitlines()) == 1 + 2 * 3
+
     def test_bad_variant_list_exits_2(self, scenario_file):
         rc, _, err = run_cli(
             lambda **k: cli.cmd_sweep(scenario_file, "RED_1,RED_9", "reno",
@@ -321,6 +390,9 @@ class TestValidateCommand:
             pytest.param("RED_1", 0.00001, "1500", "pb", id="pb-mass-tolerance"),
             # The exact law needs more than its 1,000,000-step cap.
             pytest.param("RED_5", 0.1, "1", "pb", id="pb-step-cap"),
+            # The exact law holds, but 120,000 trials at a mean gap of
+            # 25,000.5 arrivals are about 3e9 gatekeeper steps.
+            pytest.param("RED_1", 0.00002, "1500", "trials", id="trials-work-cap"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, monkeypatch, variant, p_b,
@@ -370,6 +442,12 @@ class TestMainDispatch:
         assert rc == 0
         header = open(out_path).readline().strip()
         assert header == ",".join(cli.CSV_COLUMNS)
+
+    def test_sweep_jobs_defaults_to_one(self, scenario_file):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--base", scenario_file, "--variants", "RED_1",
+             "--tcp", "reno", "--delays-ms", "15"])
+        assert args.jobs == 1
 
     def test_validate_dispatch(self, capsys):
         rc = cli.main(["validate", "--variant", "RED_1", "--pb", "0.1",

@@ -58,6 +58,7 @@ class TestContainers:
         )
         assert audit.drops_total == 60
         assert audit.conserved
+        assert audit.violations == ()
 
     def test_audit_detects_lost_packets(self):
         audit = BottleneckAudit(
@@ -66,6 +67,7 @@ class TestContainers:
             residual_q=10, max_q=120,
         )
         assert not audit.conserved
+        assert audit.violations == ("arrivals 1000 != accepted 940 + drops 59",)
 
     def test_audit_detects_queue_leak(self):
         audit = BottleneckAudit(
@@ -74,3 +76,4 @@ class TestContainers:
             residual_q=10, max_q=120,
         )
         assert not audit.conserved
+        assert audit.violations == ("accepted 940 != departed 935 + residual_q 10",)

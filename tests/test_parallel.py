@@ -1,0 +1,222 @@
+"""Tests for the ordered parallel map and the parallel sweep built on it.
+
+A parallel sweep must print the same bytes as a serial one, and no child
+it forks may outlive it: not after it returns, not after it raises, and
+not after its own process is killed.
+"""
+
+import dataclasses
+import glob
+import io
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
+
+import pytest
+
+from redqsim import cli, parallel
+from redqsim.engine import run_scenario
+
+SRC = pathlib.Path(__file__).parents[1] / "src"
+DEFAULTS_SCN = pathlib.Path(__file__).parents[1] / "scenarios" / "defaults.scn"
+
+SMALL_TEXT = """\
+schema = 1
+name = par
+red_variant = RED_1
+tcp = reno
+w_q = 0.002
+min_th = 40
+max_th = 120
+max_p = 0.1
+buffer_cap = 200
+max_packet_size = 1500
+duration_s = 3
+warmup_s = 1
+seed = 5
+
+[group large]
+flows = 3
+mtu = 1500
+
+[group small]
+flows = 3
+mtu = 375
+"""
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                                reason="process table read from Linux /proc")
+
+
+def child_pids(pid: int) -> set[int]:
+    """Every process whose parent is pid, zombies included."""
+    kids = set()
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as handle:
+                text = handle.read()
+        except OSError:
+            continue
+        if int(text.rsplit(")", 1)[1].split()[1]) == pid:
+            kids.add(int(path.split("/")[2]))
+    return kids
+
+
+def is_running(pid: int) -> bool:
+    """True while pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let two children run at once, whatever the host's core count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the children started through parallel.start_child."""
+    started = []
+    real = parallel.start_child
+
+    def counting(fn, item, inherited):
+        started.append(item)
+        return real(fn, item, inherited)
+
+    monkeypatch.setattr(parallel, "start_child", counting)
+    return started
+
+
+def _slow_square(n):
+    time.sleep(0.05 * (4 - n))  # later items finish first
+    return n * n
+
+
+def _fail_on_two(n):
+    if n == 2:
+        raise ZeroDivisionError("cell two")
+    return n
+
+
+# ---------------------------------------------------------------
+# the helper
+# ---------------------------------------------------------------
+
+class TestOrderedMap:
+    def test_results_come_back_in_item_order(self, two_cpus, forks):
+        assert parallel.ordered_map(_slow_square, range(5), jobs=2) == [0, 1, 4, 9, 16]
+        assert forks == [0, 1, 2, 3, 4]
+
+    def test_effective_jobs_is_capped_by_cpus_and_items(self, two_cpus):
+        assert parallel.effective_jobs(8, 5) == 2
+        assert parallel.effective_jobs(8, 1) == 1
+        assert parallel.effective_jobs(1, 5) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_bad_jobs_rejected_before_any_fork(self, monkeypatch, jobs):
+        monkeypatch.setattr(parallel, "start_child", _no_fork)
+        with pytest.raises(ValueError, match="jobs"):
+            parallel.ordered_map(_slow_square, range(3), jobs=jobs)
+
+    @needs_proc
+    def test_child_error_is_raised_with_its_traceback(self, two_cpus):
+        with pytest.raises(parallel.WorkerError) as err:
+            parallel.ordered_map(_fail_on_two, range(6), jobs=2)
+        assert "item 2 raised" in str(err.value)
+        assert "ZeroDivisionError: cell two" in str(err.value)
+        assert child_pids(os.getpid()) == set()
+
+    @needs_proc
+    def test_silent_child_death_is_an_error(self, two_cpus):
+        with pytest.raises(parallel.WorkerError, match="code 7"):
+            parallel.ordered_map(os._exit, [7, 7, 7], jobs=2)
+        assert child_pids(os.getpid()) == set()
+
+
+def _no_fork(*_args, **_kwargs):
+    raise AssertionError("a child was forked")
+
+
+# ---------------------------------------------------------------
+# the parallel sweep
+# ---------------------------------------------------------------
+
+def _sweep(path, jobs):
+    out, err = io.StringIO(), io.StringIO()
+    rc = cli.cmd_sweep(path, "RED_4", "reno,sack", "15,-1,80", None, None, jobs,
+                       env={}, stdout=out, stderr=err)
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestParallelSweep:
+    @needs_proc
+    def test_serial_and_parallel_print_the_same_bytes(self, tmp_path, monkeypatch,
+                                                      two_cpus, forks):
+        path = tmp_path / "par.scn"
+        path.write_text(SMALL_TEXT)
+
+        # One cell is starved of access bandwidth, so it stalls (exit 3);
+        # the -1 ms cells fail in with_cell (config error).
+        def starve_one(scenario):
+            if scenario.name == "par/RED_4-sack-15ms":
+                scenario = dataclasses.replace(scenario, access_rate_bps=1e-3)
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", starve_one)
+        serial = _sweep(str(path), 1)
+        assert forks == []
+        parallel_run = _sweep(str(path), 2)
+        assert len(forks) == 6
+        assert child_pids(os.getpid()) == set()
+
+        assert parallel_run == serial
+        rc, out, err = serial
+        assert rc == cli.EXIT_RUNTIME
+        assert len(out.splitlines()) == 1 + 4 * 2
+        assert [line.split(": ")[:2] for line in err.splitlines()] == [
+            ["cell par/RED_4-reno--1ms", "config error"],
+            ["cell par/RED_4-sack-15ms", "runtime diagnostic"],
+            ["cell par/RED_4-sack-15ms", "runtime diagnostic"],
+            ["cell par/RED_4-sack-15ms", "runtime diagnostic"],
+            ["cell par/RED_4-sack--1ms", "config error"],
+        ]
+        assert "stalled: no packet reached the bottleneck in 3 s" in err
+
+    @needs_proc
+    def test_killed_sweep_leaves_no_child_running(self, tmp_path):
+        path = tmp_path / "long.scn"
+        path.write_text(DEFAULTS_SCN.read_text())
+        code = ("import sys; from redqsim.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "sweep", "--base", str(path),
+             "--variants", "RED_1,RED_5", "--tcp", "reno", "--delays-ms", "15",
+             "--jobs", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        kids: set[int] = set()
+        try:
+            deadline = time.monotonic() + 30
+            while len(kids) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "the sweep ended before both children existed"
+                kids = child_pids(proc.pid)
+                time.sleep(0.02)
+            assert len(kids) == 2
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(is_running, kids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in kids if is_running(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in kids:
+                if is_running(pid):
+                    os.kill(pid, signal.SIGKILL)
