@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .red import RedParams, RedState, RedVariant, random_region_step
+from .red import VARIANT_EXPONENTS, RedState, RedVariant, row_step
 
 # Residual probability tolerated when a pmf is declared complete.
 _MASS_TOL = 1e-12
@@ -72,7 +72,8 @@ class SizeStream:
     """Packet lengths indexed from the most recent drop, cycling.
 
     sizes[i] is the length of the (i+1)-th arrival after a drop; the
-    pattern repeats when exhausted.  Lengths must lie in
+    pattern repeats when exhausted.  Lengths and max_packet_size are
+    integers, as in RedParams, and lengths must lie in
     (0, max_packet_size].
     """
 
@@ -82,6 +83,10 @@ class SizeStream:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
+        if not isinstance(self.max_packet_size, int):
+            raise ValueError("max_packet_size must be an integer")
+        if not all(isinstance(length, int) for length in self.sizes):
+            raise ValueError("sizes must be integers")
         if self.max_packet_size < 1:
             raise ValueError("max_packet_size must be >= 1")
         for length in self.sizes:
@@ -195,14 +200,19 @@ def montecarlo_interdrop(
     """Empirical gap law from the production gatekeeper mechanics.
 
     Freezes p_b (equivalent to pinning the moving average) and replays
-    arrivals through the same count-and-draw step the queue uses,
-    restarting the size pattern after every drop to match the law's
-    per-gap indexing.  Deterministic for a given seed.
+    arrivals through red.row_step(), the count-and-draw step the queue
+    takes in its random region, restarting the size pattern after every
+    drop to match the law's per-gap indexing.  The variant's row is
+    looked up once and the (1, s, s * s) powers are built once per
+    stream position, by the same float operations as the queue's.
+    Deterministic for a given seed: one uniform draw per arrival.
     """
     _validate_pb(p_b)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    params = RedParams(max_packet_size=stream.max_packet_size)
+    row = VARIANT_EXPONENTS[variant]
+    period = len(stream.sizes)
+    powers = [(1.0, s, s * s) for s in map(stream.ratio_at, range(period))]
     state = RedState()
     rng = random.Random(seed)
     uniform = rng.random
@@ -210,11 +220,8 @@ def montecarlo_interdrop(
     for _ in range(trials):
         n = 0
         while True:
-            length = stream.length_at(n)
+            dropped, _pa = row_step(row, powers[n % period], p_b, state, uniform())
             n += 1
-            dropped, _pa = random_region_step(
-                variant, params, p_b, state, length, uniform()
-            )
             if dropped:
                 counts[n] = counts.get(n, 0) + 1
                 break

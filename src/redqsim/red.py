@@ -7,7 +7,9 @@ counter of packets accepted since the last drop.  The five policy
 variants differ only in how the packet length enters the drop
 probability and in how the counter advances.  decide() is the unchecked
 core for a caller that owns the queue length; on_packet_arrival() is
-the checked entry point that keeps it in RedState.q.
+the checked entry point that keeps it in RedState.q.  row_step() is the
+random-region draw that decide() makes, exposed for callers that freeze
+p_b, such as the Monte Carlo drop-law harness.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def _size_powers(params: RedParams, packet_len: int) -> tuple[float, float, floa
     return (1.0, s, s * s)
 
 
-# A variant row's formulas, shared by the checked functions and decide().
+# A variant row's formulas, shared by the checked functions, decide() and
+# the drop-law harness.
 
 def _row_pa(row: tuple[int, int, int], powers: tuple, p_b: float, count: float) -> float:
     num = powers[row[0]] * p_b
@@ -167,8 +170,18 @@ def _row_pa(row: tuple[int, int, int], powers: tuple, p_b: float, count: float) 
     return p_a
 
 
-def _row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
-              state: RedState, u: float) -> tuple[bool, float]:
+def row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
+             state: RedState, u: float) -> tuple[bool, float]:
+    """Unchecked random-region decision with count bookkeeping.
+
+    row is the variant's VARIANT_EXPONENTS entry and powers is
+    (1.0, s, s * s) for s = L/M, built by the caller from an integer L in
+    (0, M].  Draws u against p_a, then resets the counter (drop) or
+    advances it by powers[row[2]] (accept).  This is the step decide()
+    takes inside the random region; a caller that holds p_b, the row and
+    the powers fixed resolves them once and calls it per arrival.
+    Returns (dropped, p_a).
+    """
     p_a = _row_pa(row, powers, p_b, state.count)
     if u < p_a:
         state.count = 0.0
@@ -198,15 +211,16 @@ def count_increment(variant: RedVariant, params: RedParams, packet_len: int) -> 
 def random_region_step(variant: RedVariant, params: RedParams, p_b: float,
                        state: RedState, packet_len: int,
                        u: float) -> tuple[bool, float]:
-    """One random-region decision with count bookkeeping.
+    """Checked row_step() for one packet length.
 
-    Evaluates p_a against the caller-supplied uniform draw u, then
-    either resets the counter (drop) or advances it (accept).  Exposed
-    separately so the drop-law harness can drive the exact production
-    mechanics with a frozen p_b.  Returns (dropped, p_a).
+    Looks up the variant's row, validates packet_len against
+    max_packet_size and builds the size powers on every call.  The
+    package itself does not call it: the drop-law harness replays
+    row_step() with those resolved once.  Tests and the benchmark's
+    tracing name it.  Returns (dropped, p_a).
     """
-    return _row_step(VARIANT_EXPONENTS[variant], _size_powers(params, packet_len),
-                     p_b, state, u)
+    return row_step(VARIANT_EXPONENTS[variant], _size_powers(params, packet_len),
+                    p_b, state, u)
 
 
 def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
@@ -230,7 +244,7 @@ def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
     else:
         p_b = compute_pb(params, avg)
         s = packet_len / params.max_packet_size
-        dropped, p_a = _row_step(row, (1.0, s, s * s), p_b, state, u)
+        dropped, p_a = row_step(row, (1.0, s, s * s), p_b, state, u)
         return (Verdict.RANDOM_DROP if dropped else Verdict.ACCEPT), p_b, p_a
     state.count = 0.0
     return verdict, 0.0, 0.0

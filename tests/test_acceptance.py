@@ -75,6 +75,21 @@ SIM_MATRIX = (
     (RedVariant.RED_5, 80),
 )
 
+# Criterion 11 reruns the criterion-7 cell in a child of its own.
+RERUN_CELL = (RedVariant.RED_1, 15)
+
+FULL_STREAM = SizeStream(sizes=(1500,), max_packet_size=1500)
+HALF_STREAM = SizeStream(sizes=(750,), max_packet_size=1500)
+ALTERNATING_STREAM = SizeStream(sizes=(1500, 750), max_packet_size=1500)
+
+# The Monte Carlo laws of criteria 1-3: (variant, stream, trials).
+MC_MATRIX = {
+    "red1-full": (RedVariant.RED_1, FULL_STREAM, UNIFORM_TRIALS),
+    "red4-half": (RedVariant.RED_4, HALF_STREAM, WEIGHTED_TRIALS),
+    "red4-alternating": (RedVariant.RED_4, ALTERNATING_STREAM, WEIGHTED_TRIALS),
+    "red5-half": (RedVariant.RED_5, HALF_STREAM, WEIGHTED_TRIALS),
+}
+
 
 def desk_scenario(variant: RedVariant, delay_ms: int) -> Scenario:
     return Scenario(
@@ -98,15 +113,45 @@ def timed_run(cell):
     return report, time.monotonic() - started
 
 
+def sampled_law(cell):
+    """One criterion's empirical gap law at p_b = 0.1."""
+    variant, stream, trials = cell
+    return montecarlo_interdrop(variant, 0.1, stream, trials=trials, seed=MC_SEED)
+
+
 @pytest.fixture(scope="module")
-def runs():
-    """All desk-scale simulation runs, keyed by (variant, delay_ms).
+def mc_laws():
+    """The empirical gap laws of criteria 1-3, keyed by MC_MATRIX name.
+
+    Each law is sampled in a forked child, one per CPU at a time.
+    """
+    laws = ordered_map(sampled_law, list(MC_MATRIX.values()),
+                       jobs=os.cpu_count() or 1)
+    return dict(zip(MC_MATRIX, laws))
+
+
+@pytest.fixture(scope="module")
+def simulations():
+    """Every desk-scale run: the SIM_MATRIX cells, then RERUN_CELL again.
 
     They run in forked children, one per CPU at a time; each child times
     its own run, so criterion 12 still sees every run's wall time alone.
     """
-    results = ordered_map(timed_run, SIM_MATRIX, jobs=os.cpu_count() or 1)
-    return dict(zip(SIM_MATRIX, results))
+    return ordered_map(timed_run, SIM_MATRIX + (RERUN_CELL,),
+                       jobs=os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="module")
+def runs(simulations):
+    """The SIM_MATRIX runs, keyed by (variant, delay_ms)."""
+    return dict(zip(SIM_MATRIX, simulations))
+
+
+@pytest.fixture(scope="module")
+def rerun(simulations):
+    """Criterion 11's second run of RERUN_CELL, made in its own child."""
+    report, _ = simulations[len(SIM_MATRIX)]
+    return report
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -130,33 +175,24 @@ def within(value: float, target: float, tol: float) -> bool:
 # ---------------------------------------------------------------
 
 class TestOracleCriteria:
-    def test_criterion_01_size_blind_interdrop_uniform(self):
-        stream = SizeStream(sizes=(1500,), max_packet_size=1500)
-        sampled = montecarlo_interdrop(RedVariant.RED_1, 0.1, stream,
-                                       trials=UNIFORM_TRIALS, seed=MC_SEED)
-        tv = tv_distance(sampled, interdrop_pmf_red1(0.1))
+    def test_criterion_01_size_blind_interdrop_uniform(self, mc_laws):
+        tv = tv_distance(mc_laws["red1-full"], interdrop_pmf_red1(0.1))
         ok = tv < TV_TOLERANCE
         record(1, ok, f"RED_1 p_b=0.1 {UNIFORM_TRIALS} trials TV={tv:.5f} "
                       f"(< {TV_TOLERANCE})")
         assert ok
 
-    def test_criterion_02_byte_weighted_count_law(self):
-        half = SizeStream(sizes=(750,), max_packet_size=1500)
-        sampled = montecarlo_interdrop(RedVariant.RED_4, 0.1, half,
-                                       trials=WEIGHTED_TRIALS, seed=MC_SEED)
-        law = interdrop_pmf_weighted(0.1, half, RedVariant.RED_4)
-        tv_const = tv_distance(sampled, law)
+    def test_criterion_02_byte_weighted_count_law(self, mc_laws):
+        law = interdrop_pmf_weighted(0.1, HALF_STREAM, RedVariant.RED_4)
+        tv_const = tv_distance(mc_laws["red4-half"], law)
         const_ok = (tv_const < TV_TOLERANCE
                     and law.support_max == 20
                     and all(law.probability(n) == pytest.approx(0.05)
                             for n in range(1, 21)))
 
-        alternating = SizeStream(sizes=(1500, 750), max_packet_size=1500)
-        sampled_alt = montecarlo_interdrop(RedVariant.RED_4, 0.1, alternating,
-                                           trials=WEIGHTED_TRIALS, seed=MC_SEED)
         tv_alt = tv_distance(
-            sampled_alt,
-            interdrop_pmf_weighted(0.1, alternating, RedVariant.RED_4))
+            mc_laws["red4-alternating"],
+            interdrop_pmf_weighted(0.1, ALTERNATING_STREAM, RedVariant.RED_4))
         alt_ok = tv_alt < TV_TOLERANCE
 
         ok = const_ok and alt_ok
@@ -164,12 +200,9 @@ class TestOracleCriteria:
                       f"alternating TV={tv_alt:.5f} (< {TV_TOLERANCE})")
         assert ok
 
-    def test_criterion_03_size_squared_count_law(self):
-        half = SizeStream(sizes=(750,), max_packet_size=1500)
-        sampled = montecarlo_interdrop(RedVariant.RED_5, 0.1, half,
-                                       trials=WEIGHTED_TRIALS, seed=MC_SEED)
-        law = interdrop_pmf_weighted(0.1, half, RedVariant.RED_5)
-        tv = tv_distance(sampled, law)
+    def test_criterion_03_size_squared_count_law(self, mc_laws):
+        law = interdrop_pmf_weighted(0.1, HALF_STREAM, RedVariant.RED_5)
+        tv = tv_distance(mc_laws["red5-half"], law)
         ok = (tv < TV_TOLERANCE
               and law.support_max == 40
               and all(law.probability(n) == pytest.approx(0.025)
@@ -329,10 +362,8 @@ class TestSimulationCriteria:
         record(10, ok, "RED_5 " + "; ".join(details))
         assert ok
 
-    def test_criterion_11_byte_identical_csv_on_same_seed(self, runs):
-        scenario = desk_scenario(RedVariant.RED_1, 15)
-        cached, _ = runs[(RedVariant.RED_1, 15)]
-        rerun = run_scenario(scenario)
+    def test_criterion_11_byte_identical_csv_on_same_seed(self, runs, rerun):
+        cached, _ = runs[RERUN_CELL]
 
         def csv_bytes(report):
             lines = [",".join(CSV_COLUMNS)] + report_rows(report)

@@ -1,6 +1,7 @@
 """Tests for the analytic gap laws, their enumeration twin, and the bounds."""
 
 import math
+import random
 
 import pytest
 
@@ -15,13 +16,44 @@ from redqsim.droplaw import (
     montecarlo_interdrop,
     tv_distance,
 )
-from redqsim.red import RedVariant
+from redqsim.red import RedParams, RedState, RedVariant, random_region_step
 
 FULL = SizeStream((1500,))
 HALF = SizeStream((750,))
 ALTERNATING = SizeStream((1500, 750))
 
 STREAMS = {"full": FULL, "half": HALF, "alternating": ALTERNATING}
+
+REPLAY_STREAMS = {
+    "full": FULL,
+    "half": HALF,
+    "three-mtu": SizeStream((1500, 750, 375)),
+    "one-byte-then-full": SizeStream((1, 1500)),
+}
+
+
+def checked_step_replay(variant, p_b, stream, trials, seed):
+    """Reference Monte Carlo pmf: one checked random_region_step per arrival.
+
+    The variant row, the length check and the size powers are all
+    resolved inside each call, with the packet length taken from the
+    stream; the draw order is the same as montecarlo_interdrop's.
+    """
+    params = RedParams(max_packet_size=stream.max_packet_size)
+    state = RedState()
+    uniform = random.Random(seed).random
+    counts = {}
+    for _ in range(trials):
+        n = 0
+        while True:
+            length = stream.length_at(n)
+            n += 1
+            dropped, _pa = random_region_step(variant, params, p_b, state,
+                                              length, uniform())
+            if dropped:
+                counts[n] = counts.get(n, 0) + 1
+                break
+    return {n: c / trials for n, c in sorted(counts.items())}
 
 
 # ---------------------------------------------------------------
@@ -56,6 +88,23 @@ class TestContainers:
             SizeStream((1501,))
         with pytest.raises(ValueError):
             SizeStream(())
+
+    @pytest.mark.parametrize(
+        "sizes, max_packet_size, message",
+        [
+            ((1000,), 1500.5, "max_packet_size must be an integer"),
+            ((1000,), float("inf"), "max_packet_size must be an integer"),
+            ((1000,), float("nan"), "max_packet_size must be an integer"),
+            ((1000.5,), 1500, "sizes must be integers"),
+            ((1500, 750.0), 1500, "sizes must be integers"),
+        ],
+        ids=["fractional-M", "infinite-M", "nan-M", "fractional-size",
+             "float-size"],
+    )
+    def test_stream_rejects_non_integers_naming_field(self, sizes,
+                                                      max_packet_size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SizeStream(sizes, max_packet_size=max_packet_size)
 
 
 # ---------------------------------------------------------------
@@ -187,6 +236,15 @@ class TestMonteCarlo:
         trials = 4000 * exact.support_max
         empirical = montecarlo_interdrop(variant, 0.1, stream, trials, seed=20260819)
         assert tv_distance(empirical, exact) < 0.02
+
+    @pytest.mark.parametrize("seed", (3, 20260819))
+    @pytest.mark.parametrize("stream_name", list(REPLAY_STREAMS))
+    @pytest.mark.parametrize("variant", list(RedVariant), ids=lambda v: v.value)
+    def test_replay_bit_identical_to_checked_steps(self, variant, stream_name,
+                                                   seed):
+        stream = REPLAY_STREAMS[stream_name]
+        law = montecarlo_interdrop(variant, 0.1, stream, 3000, seed=seed)
+        assert law.pmf == checked_step_replay(variant, 0.1, stream, 3000, seed)
 
     def test_same_seed_reproduces_law_exactly(self):
         a = montecarlo_interdrop(RedVariant.RED_4, 0.1, ALTERNATING, 5000, seed=11)
