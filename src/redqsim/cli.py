@@ -81,8 +81,8 @@ EXIT_RUNTIME = 3
 VALIDATE_TV_THRESHOLD = 0.02
 MEANINGFUL_TRIALS = 100_000
 # Monte Carlo work cap: trials x the exact law's mean gap, in gatekeeper
-# steps.  The replay ran 3.3-3.4 M steps/s under Python 3.11 on a 2-core
-# x86-64 host, so the cap is about 15 s of replay there; the default
+# steps.  The replay ran 8.6-11.2 M steps/s under Python 3.11 on a 2-core
+# x86-64 host, so the cap is about 5 s of replay there; the default
 # 200,000 trials fit under it down to a mean gap of 250 arrivals.
 MAX_TRIAL_STEPS = 50_000_000
 SWEEP_SEED_MULTIPLIER = 1_000_003

@@ -34,6 +34,10 @@ _MASS_TOL = 1e-12
 
 MATHIS_DEFAULT_C = math.sqrt(1.5)
 
+# Gap positions the Monte Carlo p_a table adds at a time.  One chunk holds
+# every gap at p_b = 0.1 on a 1500/750/375-byte stream (at most 22).
+_TABLE_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class InterdropLaw:
@@ -199,13 +203,17 @@ def montecarlo_interdrop(
 ) -> InterdropLaw:
     """Empirical gap law from the production gatekeeper mechanics.
 
-    Freezes p_b (equivalent to pinning the moving average) and replays
-    arrivals through red.row_step(), the count-and-draw step the queue
-    takes in its random region, restarting the size pattern after every
-    drop to match the law's per-gap indexing.  The variant's row is
-    looked up once and the (1, s, s * s) powers are built once per
-    stream position, by the same float operations as the queue's.
-    Deterministic for a given seed: one uniform draw per arrival.
+    Freezes p_b (equivalent to pinning the moving average) and restarts
+    the size pattern after every drop, to match the law's per-gap
+    indexing.  At frozen p_b the p_a of the k-th arrival after a drop
+    depends on k alone, so it is tabled once per gap position by
+    stepping a fresh RedState through red.row_step()'s accept branch
+    (u = 1.0 never drops).  That branch advances the count with the same
+    float operations as a per-arrival replay, so each table entry is the
+    p_a the queue's random region would draw against.  The table grows
+    in chunks as trials reach its end and stops at its first 1.0, which
+    no draw can pass.  Deterministic for a given seed: one uniform draw
+    per arrival, dropping the arrival when the draw is below its p_a.
     """
     _validate_pb(p_b)
     if trials < 1:
@@ -213,19 +221,32 @@ def montecarlo_interdrop(
     row = VARIANT_EXPONENTS[variant]
     period = len(stream.sizes)
     powers = [(1.0, s, s * s) for s in map(stream.ratio_at, range(period))]
-    state = RedState()
-    rng = random.Random(seed)
-    uniform = rng.random
-    counts: dict[int, int] = {}
+    table: list[float] = []  # table[k]: p_a of the (k+1)-th arrival
+    hits: list[int] = []  # hits[k]: trials whose gap is k + 1
+    builder = RedState()
+
+    def grow() -> None:
+        for k in range(len(table), len(table) + _TABLE_CHUNK):
+            _dropped, p_a = row_step(row, powers[k % period], p_b, builder, 1.0)
+            table.append(p_a)
+            hits.append(0)
+            if p_a == 1.0:
+                return
+
+    uniform = random.Random(seed).random
     for _ in range(trials):
         n = 0
         while True:
-            dropped, _pa = row_step(row, powers[n % period], p_b, state, uniform())
-            n += 1
-            if dropped:
-                counts[n] = counts.get(n, 0) + 1
+            try:
+                # table[n] is read before the draw, so running off the end
+                # of the table consumes no draw.
+                while table[n] <= uniform():
+                    n += 1
                 break
-    return InterdropLaw({n: c / trials for n, c in sorted(counts.items())})
+            except IndexError:
+                grow()
+        hits[n] += 1
+    return InterdropLaw({k + 1: c / trials for k, c in enumerate(hits) if c})
 
 
 def tv_distance(law_a: InterdropLaw, law_b: InterdropLaw) -> float:

@@ -178,9 +178,9 @@ def row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
     (1.0, s, s * s) for s = L/M, built by the caller from an integer L in
     (0, M].  Draws u against p_a, then resets the counter (drop) or
     advances it by powers[row[2]] (accept).  This is the step decide()
-    takes inside the random region; a caller that holds p_b, the row and
-    the powers fixed resolves them once and calls it per arrival.
-    Returns (dropped, p_a).
+    takes inside the random region.  Since p_a <= 1, u = 1.0 never drops:
+    the Monte Carlo drop-law harness steps with it to table p_a per gap
+    position at frozen p_b.  Returns (dropped, p_a).
     """
     p_a = _row_pa(row, powers, p_b, state.count)
     if u < p_a:
@@ -215,7 +215,7 @@ def random_region_step(variant: RedVariant, params: RedParams, p_b: float,
 
     Looks up the variant's row, validates packet_len against
     max_packet_size and builds the size powers on every call.  The
-    package itself does not call it: the drop-law harness replays
+    package itself does not call it: the drop-law harness steps
     row_step() with those resolved once.  Tests and the benchmark's
     tracing name it.  Returns (dropped, p_a).
     """

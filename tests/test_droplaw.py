@@ -32,12 +32,25 @@ REPLAY_STREAMS = {
 }
 
 
+# Gaps that run past the first chunk of montecarlo_interdrop's p_a table
+# (RED_1 at p_b 0.004 has support 250, RED_5 on (1, 1500) at p_b 0.004
+# has support 500), and p_b 1.0, whose law is {1: 1.0} on full-size
+# packets.
+GROWTH_CASES = [
+    (RedVariant.RED_1, 0.004, "full"),
+    (RedVariant.RED_5, 0.004, "one-byte-then-full"),
+    *((variant, 1.0, "full") for variant in RedVariant),
+]
+
+
 def checked_step_replay(variant, p_b, stream, trials, seed):
     """Reference Monte Carlo pmf: one checked random_region_step per arrival.
 
     The variant row, the length check and the size powers are all
     resolved inside each call, with the packet length taken from the
-    stream; the draw order is the same as montecarlo_interdrop's.
+    stream; the draw order is the same as montecarlo_interdrop's.  One
+    RedState carries across all trials, so every gap after the first
+    starts from the count that the drop branch reset.
     """
     params = RedParams(max_packet_size=stream.max_packet_size)
     state = RedState()
@@ -245,6 +258,27 @@ class TestMonteCarlo:
         stream = REPLAY_STREAMS[stream_name]
         law = montecarlo_interdrop(variant, 0.1, stream, 3000, seed=seed)
         assert law.pmf == checked_step_replay(variant, 0.1, stream, 3000, seed)
+
+    @pytest.mark.parametrize("seed", (3, 20260819))
+    @pytest.mark.parametrize(
+        "variant, p_b, stream_name", GROWTH_CASES,
+        ids=[f"{v.value}-{p_b}-{name}" for v, p_b, name in GROWTH_CASES],
+    )
+    def test_replay_bit_identical_past_first_table_chunk(self, variant, p_b,
+                                                         stream_name, seed):
+        stream = REPLAY_STREAMS[stream_name]
+        law = montecarlo_interdrop(variant, p_b, stream, 3000, seed=seed)
+        assert law.pmf == checked_step_replay(variant, p_b, stream, 3000, seed)
+
+    @pytest.mark.parametrize("p_b", (0.1, 0.004))
+    @pytest.mark.parametrize("stream_name", list(REPLAY_STREAMS))
+    @pytest.mark.parametrize("variant", list(RedVariant), ids=lambda v: v.value)
+    def test_sampled_support_inside_exact_support(self, variant, stream_name,
+                                                  p_b):
+        stream = REPLAY_STREAMS[stream_name]
+        sampled = montecarlo_interdrop(variant, p_b, stream, 3000, seed=7)
+        exact = interdrop_pmf_exact(variant, p_b, stream)
+        assert set(sampled.pmf) <= set(exact.pmf)
 
     def test_same_seed_reproduces_law_exactly(self):
         a = montecarlo_interdrop(RedVariant.RED_4, 0.1, ALTERNATING, 5000, seed=11)

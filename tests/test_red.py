@@ -278,6 +278,34 @@ class TestOnPacketArrival:
         on_packet_arrival(state, params, RedVariant.RED_1, 1500, 0.5)
         assert state.avg > 100.0
 
+    @given(
+        variant=st.sampled_from(ALL_VARIANTS),
+        w_q=st.floats(min_value=0.001, max_value=1.0),
+        max_p=st.floats(min_value=0.01, max_value=1.0),
+        buffer_cap=st.integers(min_value=1, max_value=12),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=1, max_value=1500),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            max_size=300,
+        ),
+    )
+    def test_occupancy_within_buffer_over_random_streams(
+            self, variant, w_q, max_p, buffer_cap, ops):
+        # Each op is an arrival (True) or, when the queue is non-empty, a
+        # departure, which the caller owns.
+        p = RedParams(w_q=w_q, min_th=buffer_cap / 2, max_th=float(buffer_cap),
+                      max_p=max_p, buffer_cap=buffer_cap)
+        state = RedState()
+        for arrive, length, u in ops:
+            if arrive:
+                on_packet_arrival(state, p, variant, length, u)
+            elif state.q:
+                state.q -= 1
+            assert 0 <= state.q <= p.buffer_cap
+
     def test_occupancy_never_exceeds_capacity(self):
         p = RedParams(min_th=1.0, max_th=3.0, buffer_cap=3, max_p=0.1)
         state = RedState()
@@ -344,6 +372,32 @@ class TestDecideCore:
 # ---------------------------------------------------------------
 
 class TestFullSizeEquivalence:
+    @given(
+        w_q=st.floats(min_value=0.05, max_value=1.0),
+        max_p=st.floats(min_value=0.01, max_value=1.0),
+        max_size=st.integers(min_value=1, max_value=9000),
+        stream=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    def test_all_variants_agree_when_every_packet_is_full_size(
+            self, w_q, max_p, max_size, stream):
+        # L = M makes s = 1, so every variant row reduces to RED_1's.
+        params = RedParams(w_q=w_q, min_th=2.0, max_th=6.0, max_p=max_p,
+                           buffer_cap=8, max_packet_size=max_size)
+        runs = []
+        for variant in ALL_VARIANTS:
+            state, row = RedState(), VARIANT_EXPONENTS[variant]
+            runs.append([(*decide(state, params, row, q, max_size, u), state.count)
+                         for q, u in stream])
+        for variant, run in zip(ALL_VARIANTS[1:], runs[1:]):
+            assert run == runs[0], variant
+
     @pytest.mark.parametrize(
         "variant",
         [RedVariant.RED_2, RedVariant.RED_3, RedVariant.RED_4, RedVariant.RED_5],
@@ -351,7 +405,8 @@ class TestFullSizeEquivalence:
     def test_identical_decisions_against_shared_draws(self, params, variant):
         # With every packet at the reference size, all policies collapse
         # to the size-blind one: same draws, same verdict sequence.
-        draws = [random.Random(3141).random() for _ in range(20000)]
+        rng = random.Random(3141)
+        draws = [rng.random() for _ in range(20000)]
         verdicts = {}
         for v in (RedVariant.RED_1, variant):
             state = RedState(avg=80.0, q=80)
