@@ -6,7 +6,6 @@ from .red import (
     RedState,
     RedVariant,
     Verdict,
-    compute_pa,
     compute_pb,
     on_packet_arrival,
     update_avg,
@@ -52,7 +51,6 @@ __all__ = [
     "TcpSender",
     "TcpVariant",
     "Verdict",
-    "compute_pa",
     "compute_pb",
     "fairness_gap",
     "interdrop_pmf_exact",

@@ -116,14 +116,16 @@ _REQUIRED_KEYS = (
     "max_packet_size",
 )
 
+# File key -> (Scenario field, conversion from the file's text).  A key
+# absent from the file leaves the field at Scenario's default.
 _OPTIONAL_KEYS = {
-    "duration_s": 60.0,
-    "warmup_s": 10.0,
-    "seed": 1,
-    "bottleneck_rate_mbps": 30.0,
-    "access_rate_mbps": 100.0,
-    "bottleneck_delay_ms": 15.0,
-    "access_delay_ms": 1.0,
+    "duration_s": ("duration_s", float),
+    "warmup_s": ("warmup_s", float),
+    "seed": ("seed", int),
+    "bottleneck_rate_mbps": ("bottleneck_rate_bps", lambda raw: float(raw) * 1e6),
+    "access_rate_mbps": ("access_rate_bps", lambda raw: float(raw) * 1e6),
+    "bottleneck_delay_ms": ("bottleneck_delay_s", lambda raw: float(raw) / 1e3),
+    "access_delay_ms": ("access_delay_s", lambda raw: float(raw) / 1e3),
 }
 
 _GROUP_KEYS = ("flows", "mtu")
@@ -219,24 +221,14 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
         max_packet_size=_number(top["max_packet_size"], "max_packet_size", int),
     )
 
-    def opt(key: str, kind):
-        if key in top:
-            return _number(top[key], key, kind)
-        return _OPTIONAL_KEYS[key]
-
     return Scenario(
         name=top["name"],
         red_variant=_parse_red_variant(top["red_variant"]),
         tcp_variant=_parse_tcp_variant(top["tcp"]),
         red=red,
         groups=tuple(parsed_groups),
-        duration_s=opt("duration_s", float),
-        warmup_s=opt("warmup_s", float),
-        seed=opt("seed", int),
-        bottleneck_rate_bps=opt("bottleneck_rate_mbps", float) * 1e6,
-        access_rate_bps=opt("access_rate_mbps", float) * 1e6,
-        bottleneck_delay_s=opt("bottleneck_delay_ms", float) / 1e3,
-        access_delay_s=opt("access_delay_ms", float) / 1e3,
+        **{field: _number(top[key], key, convert)
+           for key, (field, convert) in _OPTIONAL_KEYS.items() if key in top},
     )
 
 

@@ -438,7 +438,7 @@ class DumbbellSim:
         for flow in self.flows:
             flow.access_link = Link(
                 eq, scenario.access_rate_bps, scenario.access_delay_s,
-                self._data_reaches_near_router)
+                self.bottleneck_link.send)
         self._finished = False
 
     # -------------------- wiring callbacks --------------------
@@ -447,9 +447,6 @@ class DumbbellSim:
         for seg in segments:
             flow.access_link.send(seg)
         self._sync_timer(flow)
-
-    def _data_reaches_near_router(self, seg: Segment) -> None:
-        self.bottleneck_link.send(seg)
 
     def _deliver_to_receiver_side(self, seg: Segment) -> None:
         # Same float operations, in the same order, as a Link's service.

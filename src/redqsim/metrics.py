@@ -80,9 +80,7 @@ class RunReport:
     seed: int
     duration_s: float
     warmup_s: float
-    interval_s: float
     groups: tuple[GroupStats, ...]
-    flow_goodput_bps: tuple[float, ...]
     total_goodput_bps: float
     bottleneck: BottleneckAudit
     reverse_arrivals: int
@@ -133,9 +131,6 @@ def build_run_report(
     reached the bottleneck.
     """
     interval_s = scenario.duration_s - scenario.warmup_s
-    flow_goodput = tuple(
-        goodput_bps(delta, interval_s) for delta in delivered_delta
-    )
     group_delivered = [0] * len(scenario.groups)
     for idx, delta in enumerate(delivered_delta):
         group_delivered[group_of(idx)] += delta
@@ -191,10 +186,9 @@ def build_run_report(
         seed=scenario.seed,
         duration_s=scenario.duration_s,
         warmup_s=scenario.warmup_s,
-        interval_s=interval_s,
         groups=tuple(groups),
-        flow_goodput_bps=flow_goodput,
-        total_goodput_bps=sum(flow_goodput),
+        total_goodput_bps=sum(goodput_bps(delta, interval_s)
+                              for delta in delivered_delta),
         bottleneck=audit,
         reverse_arrivals=reverse_arrivals,
         reverse_drops=reverse_drops,

@@ -146,18 +146,12 @@ def compute_pb(params: RedParams, avg: float) -> float:
     return params.max_p * (avg - params.min_th) / (params.max_th - params.min_th)
 
 
-def _size_powers(params: RedParams, packet_len: int) -> tuple[float, float, float]:
-    """(1, s, s * s) for s = L/M, indexed by a variant's exponents."""
-    if not 0 < packet_len <= params.max_packet_size:
-        raise ValueError("packet_len must be in (0, max_packet_size]")
-    s = packet_len / params.max_packet_size
-    return (1.0, s, s * s)
-
-
-# A variant row's formulas, shared by the checked functions, decide() and
+# A variant row's formulas, shared by decide(), random_region_step() and
 # the drop-law harness.
 
 def _row_pa(row: tuple[int, int, int], powers: tuple, p_b: float, count: float) -> float:
+    # A non-positive denominator means the uniformization window is
+    # exhausted, so the packet drops with certainty.
     num = powers[row[0]] * p_b
     den = 1.0 - count * powers[row[1]] * p_b
     if den <= 0.0:
@@ -190,37 +184,20 @@ def row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
     return False, p_a
 
 
-def compute_pa(variant: RedVariant, params: RedParams, p_b: float,
-               count: float, packet_len: int) -> float:
-    """Final drop probability after count-based uniformization.
-
-    count is the weight accepted since the last drop, so the first
-    packet after a drop is evaluated with count = 0.  A non-positive
-    denominator means the uniformization window is exhausted and the
-    packet is dropped with certainty.
-    """
-    return _row_pa(VARIANT_EXPONENTS[variant], _size_powers(params, packet_len),
-                   p_b, count)
-
-
-def count_increment(variant: RedVariant, params: RedParams, packet_len: int) -> float:
-    """Weight an accepted packet adds to the post-drop counter."""
-    return _size_powers(params, packet_len)[VARIANT_EXPONENTS[variant][2]]
-
-
 def random_region_step(variant: RedVariant, params: RedParams, p_b: float,
                        state: RedState, packet_len: int,
                        u: float) -> tuple[bool, float]:
     """Checked row_step() for one packet length.
 
     Looks up the variant's row, validates packet_len against
-    max_packet_size and builds the size powers on every call.  The
-    package itself does not call it: the drop-law harness steps
-    row_step() with those resolved once.  Tests and the benchmark's
-    tracing name it.  Returns (dropped, p_a).
+    max_packet_size and builds the size powers on every call.  Nothing in
+    the package calls it; it is kept only because the benchmark's tracing
+    hooks it by name.  Returns (dropped, p_a).
     """
-    return row_step(VARIANT_EXPONENTS[variant], _size_powers(params, packet_len),
-                    p_b, state, u)
+    if not 0 < packet_len <= params.max_packet_size:
+        raise ValueError("packet_len must be in (0, max_packet_size]")
+    s = packet_len / params.max_packet_size
+    return row_step(VARIANT_EXPONENTS[variant], (1.0, s, s * s), p_b, state, u)
 
 
 def decide(state: RedState, params: RedParams, row: tuple[int, int, int],

@@ -154,10 +154,26 @@ class TestScenarioParsing:
         sc = cli.parse_scenario_text(text)
         assert sc.red.min_th == 40.0
 
-    def test_non_numeric_value_rejected(self):
+    @pytest.mark.parametrize("old, new, field", [
+        ("w_q = 0.002", "w_q = tiny", "w_q"),
+        ("seed = 5", "seed = 5\naccess_rate_mbps = fast", "access_rate_mbps"),
+        ("seed = 5", "seed = 5\nbottleneck_delay_ms = soon", "bottleneck_delay_ms"),
+    ], ids=["w_q", "access_rate_mbps", "bottleneck_delay_ms"])
+    def test_non_numeric_value_rejected(self, old, new, field):
         with pytest.raises(ConfigError) as err:
-            cli.parse_scenario_text(SCENARIO_TEXT.replace("w_q = 0.002", "w_q = tiny"))
-        assert err.value.field == "w_q"
+            cli.parse_scenario_text(SCENARIO_TEXT.replace(old, new))
+        assert err.value.field == field
+        assert field in str(err.value)
+
+    def test_omitted_optional_keys_take_scenario_defaults(self):
+        # Scenario owns the defaults; written out in file units they must
+        # parse to the same scenario as leaving every optional key out.
+        omitted = re.sub(r"(?m)^(duration_s|warmup_s|seed) = .*\n", "", SCENARIO_TEXT)
+        explicit = omitted.replace("max_packet_size = 1500", "\n".join([
+            "max_packet_size = 1500", "duration_s = 60", "warmup_s = 10",
+            "seed = 1", "bottleneck_rate_mbps = 30", "access_rate_mbps = 100",
+            "bottleneck_delay_ms = 15", "access_delay_ms = 1"]))
+        assert cli.parse_scenario_text(omitted) == cli.parse_scenario_text(explicit)
 
 
 # ---------------------------------------------------------------

@@ -13,9 +13,7 @@ from redqsim.red import (
     RedState,
     RedVariant,
     Verdict,
-    compute_pa,
     compute_pb,
-    count_increment,
     decide,
     on_packet_arrival,
     random_region_step,
@@ -28,6 +26,24 @@ ALL_VARIANTS = list(RedVariant)
 @pytest.fixture
 def params():
     return RedParams()
+
+
+def final_pa(variant, params, p_b, count, length):
+    """p_a of one random-region step at the given count.
+
+    u = 1.0 is never below p_a, so the step accepts and reports p_a.
+    """
+    dropped, p_a = random_region_step(variant, params, p_b, RedState(count=count),
+                                      length, 1.0)
+    assert not dropped
+    return p_a
+
+
+def count_step(variant, params, length, p_b=0.1):
+    """Weight one accepted packet adds to a fresh post-drop counter."""
+    state = RedState()
+    random_region_step(variant, params, p_b, state, length, 1.0)
+    return state.count
 
 
 # ---------------------------------------------------------------
@@ -127,27 +143,27 @@ class TestComputePb:
 # final drop probability
 # ---------------------------------------------------------------
 
-class TestComputePa:
+class TestFinalDropProbability:
     def test_size_blind_uniformization(self, params):
-        assert compute_pa(RedVariant.RED_1, params, 0.1, 0.0, 1500) == pytest.approx(0.1)
-        assert compute_pa(RedVariant.RED_1, params, 0.1, 5.0, 1500) == pytest.approx(0.2)
+        assert final_pa(RedVariant.RED_1, params, 0.1, 0.0, 1500) == pytest.approx(0.1)
+        assert final_pa(RedVariant.RED_1, params, 0.1, 5.0, 1500) == pytest.approx(0.2)
 
     def test_exhausted_window_drops_surely(self, params):
-        assert compute_pa(RedVariant.RED_1, params, 0.1, 10.0, 1500) == 1.0
-        assert compute_pa(RedVariant.RED_1, params, 0.1, 50.0, 1500) == 1.0
+        assert final_pa(RedVariant.RED_1, params, 0.1, 10.0, 1500) == 1.0
+        assert final_pa(RedVariant.RED_1, params, 0.1, 50.0, 1500) == 1.0
 
     def test_half_size_scaling_at_zero_count(self, params):
-        assert compute_pa(RedVariant.RED_2, params, 0.1, 0.0, 750) == pytest.approx(0.05)
-        assert compute_pa(RedVariant.RED_3, params, 0.1, 0.0, 750) == pytest.approx(0.05)
-        assert compute_pa(RedVariant.RED_4, params, 0.1, 0.0, 750) == pytest.approx(0.05)
-        assert compute_pa(RedVariant.RED_5, params, 0.1, 0.0, 750) == pytest.approx(0.025)
+        assert final_pa(RedVariant.RED_2, params, 0.1, 0.0, 750) == pytest.approx(0.05)
+        assert final_pa(RedVariant.RED_3, params, 0.1, 0.0, 750) == pytest.approx(0.05)
+        assert final_pa(RedVariant.RED_4, params, 0.1, 0.0, 750) == pytest.approx(0.05)
+        assert final_pa(RedVariant.RED_5, params, 0.1, 0.0, 750) == pytest.approx(0.025)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_full_size_packets_match_size_blind_policy(self, params, variant):
         for count in (0.0, 1.0, 3.0, 7.5, 9.0, 10.0, 12.0):
             for p_b in (0.02, 0.1, 0.5):
-                expect = compute_pa(RedVariant.RED_1, params, p_b, count, 1500)
-                assert compute_pa(variant, params, p_b, count, 1500) == expect
+                expect = final_pa(RedVariant.RED_1, params, p_b, count, 1500)
+                assert final_pa(variant, params, p_b, count, 1500) == expect
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_never_exceeds_size_blind_at_full_size(self, params, variant):
@@ -156,14 +172,14 @@ class TestComputePa:
         for length in (100, 375, 750, 1200, 1500):
             for count in (0.0, 2.0, 5.0, 9.0, 11.0):
                 for p_b in (0.05, 0.1):
-                    cap = compute_pa(RedVariant.RED_1, params, p_b, count, 1500)
-                    assert compute_pa(variant, params, p_b, count, length) <= cap + 1e-15
+                    cap = final_pa(RedVariant.RED_1, params, p_b, count, 1500)
+                    assert final_pa(variant, params, p_b, count, length) <= cap + 1e-15
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_monotone_in_packet_size(self, params, variant):
         for count in (0.0, 4.0, 8.0):
             probs = [
-                compute_pa(variant, params, 0.1, count, length)
+                final_pa(variant, params, 0.1, count, length)
                 for length in (300, 600, 900, 1200, 1500)
             ]
             assert probs == sorted(probs)
@@ -175,12 +191,12 @@ class TestComputePa:
             p_b = rng.uniform(1e-6, 1.0)
             count = rng.uniform(0.0, 30.0)
             length = rng.randrange(1, 1501)
-            p_a = compute_pa(variant, params, p_b, count, length)
+            p_a = final_pa(variant, params, p_b, count, length)
             assert 0.0 <= p_a <= 1.0
 
     def test_rejects_oversized_packet(self, params):
         with pytest.raises(ValueError):
-            compute_pa(RedVariant.RED_1, params, 0.1, 0.0, 1501)
+            random_region_step(RedVariant.RED_1, params, 0.1, RedState(), 1501, 1.0)
 
 
 # ---------------------------------------------------------------
@@ -189,11 +205,11 @@ class TestComputePa:
 
 class TestCountMechanics:
     def test_increment_per_variant(self, params):
-        assert count_increment(RedVariant.RED_1, params, 750) == 1.0
-        assert count_increment(RedVariant.RED_2, params, 750) == 1.0
-        assert count_increment(RedVariant.RED_3, params, 750) == 1.0
-        assert count_increment(RedVariant.RED_4, params, 750) == 0.5
-        assert count_increment(RedVariant.RED_5, params, 750) == 0.25
+        assert count_step(RedVariant.RED_1, params, 750) == 1.0
+        assert count_step(RedVariant.RED_2, params, 750) == 1.0
+        assert count_step(RedVariant.RED_3, params, 750) == 1.0
+        assert count_step(RedVariant.RED_4, params, 750) == 0.5
+        assert count_step(RedVariant.RED_5, params, 750) == 0.25
 
     @given(
         variant=st.sampled_from(ALL_VARIANTS),
@@ -218,8 +234,8 @@ class TestCountMechanics:
         else:
             num, den, step = s * s * p_b, 1.0 - count * p_b, s * s
         expected = 1.0 if den <= 0.0 else min(max(num / den, 0.0), 1.0)
-        assert compute_pa(variant, params, p_b, count, length) == expected
-        assert count_increment(variant, params, length) == step
+        assert final_pa(variant, params, p_b, count, length) == expected
+        assert count_step(variant, params, length, p_b) == step
 
     def test_accept_advances_and_drop_resets(self, params):
         state = RedState()

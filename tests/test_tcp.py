@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redqsim.droplaw import mathis_goodput_bound
 from redqsim.tcp import (
@@ -466,3 +467,65 @@ class TestPipeRuns:
                   drop=lambda i: rng.random() < 0.03)
             results[variant] = r.delivered_bytes
         assert results[TcpVariant.SACK] >= 0.7 * results[TcpVariant.RENO]
+
+
+# ---------------------------------------------------------------
+# invariants under random delivery orders, losses and timeouts
+# ---------------------------------------------------------------
+
+class TestEndpointInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variant=st.sampled_from(list(TcpVariant)),
+        wnd_segments=st.integers(min_value=2, max_value=16),
+        loss=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+        reorder=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_invariants_hold_after_every_call(self, variant, wnd_segments, loss,
+                                              reorder, seed):
+        # Each step delivers or loses one data segment or ACK, picked out
+        # of order with probability reorder, or lets the retransmission
+        # timer fire.  The clock moves only at a timeout, to the sender's
+        # deadline, as the timer contract requires.
+        rng = random.Random(seed)
+        s = make_sender(variant, rcv_wnd=wnd_segments * MSS)
+        r = TcpReceiver(0, s.config)
+        data, acks = [], []
+        delivered = 0
+        now = 0.0
+
+        def check():
+            nonlocal delivered
+            assert s.snd_una <= s.snd_nxt <= s.max_sent
+            assert s.cwnd >= MSS
+            # The pipe estimate is read only in recovery.  Outside it, SACK
+            # blocks that the receiver reports above a timeout's rewound
+            # snd_nxt make it negative; nothing reads it there.
+            if s.in_recovery:
+                assert s._pipe() >= 0
+            assert r.delivered_bytes >= delivered
+            delivered = r.delivered_bytes
+
+        data.extend(s.start(now))
+        check()
+        for _ in range(400):
+            pick = rng.random()
+            if pick < 0.03:
+                if s.rto_deadline is not None:
+                    now = s.rto_deadline
+                    data.extend(s.on_timeout(now))
+                    check()
+                continue
+            pending = data if pick < 0.5 else acks
+            if not pending:
+                continue
+            index = rng.randrange(len(pending)) if rng.random() < reorder else 0
+            seg = pending.pop(index)
+            if rng.random() < loss:
+                continue
+            if pending is data:
+                acks.append(r.on_data(seg, now))
+            else:
+                data.extend(s.on_ack(seg, now))
+            check()
