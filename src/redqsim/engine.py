@@ -5,7 +5,10 @@ events fire in the order they were scheduled and a run is a pure
 function of its scenario.  A single seeded generator supplies all
 randomness: per-flow start jitter is drawn first, in flow order, then
 one uniform draw per data arrival at the guarded bottleneck queue, in
-event order.
+event order.  Every event goes through EventQueue.schedule_at, looked
+up on the queue at each call so that a wrapper installed on the class
+sees it, with a bound method or a functools.partial of one as its
+zero-argument handler, never a per-event closure.
 
 The topology is a dumbbell: every sender reaches the first router over
 its own access link, the two routers exchange traffic over a pair of
@@ -29,6 +32,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import functools
 import heapq
 import math
 import random
@@ -61,12 +65,18 @@ class EventKind(enum.Enum):
     MEASUREMENT = "measurement_boundary"
 
 
+ARRIVAL, LINK_DONE, TIMER = EventKind.ARRIVAL, EventKind.LINK_DONE, EventKind.TIMER
+
+
 class EventQueue:
     """Binary-heap scheduler with stable same-time ordering.
 
     Heap entries are (time, sequence, callback) tuples; the sequence
-    number is unique, so ties never reach the callback.  The kind is
-    accepted for instrumentation that wraps schedule_at, not stored.
+    number is unique, so ties never reach the callback.  Hot callers
+    pass now + delay to schedule_at themselves, the float schedule()
+    computes.  schedule_at(when, kind, fn) keeps that signature, and
+    the kind is accepted but not stored, because instrumentation wraps
+    it to count the events of each kind.
     """
 
     def __init__(self):
@@ -90,11 +100,16 @@ class EventQueue:
         Returns True if the queue drained before reaching `until`.
         """
         heap = self._heap
-        while heap and heap[0][0] <= until:
-            when, _seq, fn = heapq.heappop(heap)
-            self.now = when
-            self.event_count += 1
-            fn()
+        pop = heapq.heappop
+        count = self.event_count
+        try:
+            while heap and heap[0][0] <= until:
+                when, _seq, fn = pop(heap)
+                self.now = when
+                count += 1
+                fn()
+        finally:
+            self.event_count = count
         drained = not heap and self.now < until
         self.now = until
         return drained
@@ -142,23 +157,28 @@ class QueueCounters:
 class Admission:
     """Admission control for a router queue: one verdict rule per subclass.
 
-    admit() judges a packet that finds q packets at the queue (the
-    link's backlog, which owns the length) and tallies the arrival and
-    its verdict by traffic group.
+    admit() takes exactly one uniform draw per arriving packet, whatever
+    branch the rule takes, so the random stream depends only on the
+    arrival order.  It judges a packet that finds q packets at the queue
+    (the link's backlog, which owns the length) with
+    judge(q, packet_len, u), which returns (verdict, p_b, p_a) as
+    red.decide does, and tallies the arrival and its verdict by group.
     """
 
-    def __init__(self, group_of: Callable[[int], int], n_groups: int):
+    def __init__(self, rng: random.Random, group_of: Callable[[int], int],
+                 n_groups: int):
+        self.rng = rng
         self.group_of = group_of
         self.counters = QueueCounters(n_groups)
 
-    def verdict(self, seg: Segment, q: int) -> Verdict:
+    def judge(self, q: int, packet_len: int, u: float) -> tuple[Verdict, float, float]:
         raise NotImplementedError
 
     def admit(self, seg: Segment, q: int) -> bool:
         c = self.counters
         g = self.group_of(seg.flow_id)
         c.arrivals[g] += 1
-        verdict = self.verdict(seg, q)
+        verdict = self.judge(q, seg.wire_bytes, self.rng.random())[0]
         if verdict is Verdict.ACCEPT:
             c.accepted[g] += 1
             c.max_q = max(c.max_q, q + 1)
@@ -175,9 +195,8 @@ class Admission:
 class RedAdmission(Admission):
     """Drop gatekeeper in front of a router queue.
 
-    Consumes exactly one uniform draw per arriving packet, whatever
-    branch the decision takes, so the random stream depends only on the
-    arrival order.
+    judge is red.decide with this queue's state, parameters and variant
+    row bound, so admit() calls the gatekeeper with no frame between.
     """
 
     def __init__(
@@ -188,23 +207,18 @@ class RedAdmission(Admission):
         group_of: Callable[[int], int],
         n_groups: int,
     ):
-        super().__init__(group_of, n_groups)
+        super().__init__(rng, group_of, n_groups)
         self.params = params
-        self.rng = rng
         self.state = RedState()  # its q is unused: the link owns the length
         self.row = VARIANT_EXPONENTS[variant]
-
-    def verdict(self, seg: Segment, q: int) -> Verdict:
         # Scenario bounds every mtu by max_packet_size: a valid length.
-        return decide(self.state, self.params, self.row, q, seg.wire_bytes,
-                      self.rng.random())[0]
+        self.judge = functools.partial(decide, self.state, params, self.row)
 
 
 class BernoulliAdmission(Admission):
     """Size-blind independent dropper, for calibration runs.
 
-    Same draw discipline as the gatekeeper, with a constant drop
-    probability and an occupancy cap.
+    A constant drop probability and an occupancy cap.
     """
 
     def __init__(
@@ -217,18 +231,15 @@ class BernoulliAdmission(Admission):
     ):
         if not 0.0 <= loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
-        super().__init__(group_of, n_groups)
+        super().__init__(rng, group_of, n_groups)
         self.loss_prob = loss_prob
         self.cap = cap
-        self.rng = rng
 
-    def verdict(self, seg: Segment, q: int) -> Verdict:
-        u = self.rng.random()
+    def judge(self, q: int, packet_len: int, u: float) -> tuple[Verdict, float, float]:
+        p = self.loss_prob
         if q >= self.cap:
-            return Verdict.FORCED_DROP_BUFFER
-        if u < self.loss_prob:
-            return Verdict.RANDOM_DROP
-        return Verdict.ACCEPT
+            return Verdict.FORCED_DROP_BUFFER, 0.0, 0.0
+        return (Verdict.RANDOM_DROP if u < p else Verdict.ACCEPT), p, p
 
 
 # ---------------------------------------------------------------
@@ -240,7 +251,8 @@ class Link:
 
     The backlog holds the waiting packets and, at its head, the one in
     service, so a non-empty backlog means busy.  Its length is the queue
-    length that the admission judges.
+    length that the admission judges.  The head's service ends
+    wire_bytes * 8.0 / rate_bps after it reaches the head.
     """
 
     def __init__(
@@ -259,26 +271,27 @@ class Link:
         self.backlog: deque[Segment] = deque()
 
     def send(self, seg: Segment) -> None:
-        if self.admission is not None and not self.admission.admit(seg, len(self.backlog)):
+        backlog = self.backlog
+        if self.admission is not None and not self.admission.admit(seg, len(backlog)):
             return
-        self.backlog.append(seg)
-        if len(self.backlog) == 1:
-            self._start_service()
-
-    def _start_service(self) -> None:
-        seg = self.backlog[0]
-        tx_time = seg.wire_bytes * 8.0 / self.rate_bps
-        self.eq.schedule(tx_time, EventKind.LINK_DONE, self._finish_service)
+        backlog.append(seg)
+        if len(backlog) == 1:
+            eq = self.eq
+            eq.schedule_at(eq.now + seg.wire_bytes * 8.0 / self.rate_bps, LINK_DONE,
+                           self._finish_service)
 
     def _finish_service(self) -> None:
-        seg = self.backlog.popleft()
+        backlog = self.backlog
+        seg = backlog.popleft()
         if self.admission is not None:
             self.admission.counters.departed += 1
-        self.eq.schedule(
-            self.prop_delay_s, EventKind.ARRIVAL, lambda s=seg: self.deliver(s)
-        )
-        if self.backlog:
-            self._start_service()
+        eq = self.eq
+        now = eq.now
+        eq.schedule_at(now + self.prop_delay_s, ARRIVAL,
+                       functools.partial(self.deliver, seg))
+        if backlog:
+            eq.schedule_at(now + backlog[0].wire_bytes * 8.0 / self.rate_bps,
+                           LINK_DONE, self._finish_service)
 
 
 # ---------------------------------------------------------------
@@ -444,9 +457,15 @@ class DumbbellSim:
     # -------------------- wiring callbacks --------------------
 
     def _transmit(self, flow: _Flow, segments: list[Segment]) -> None:
+        # Then push a timer entry if the sender's deadline moved earlier
+        # than the pending one; a later deadline is re-pushed on expiry.
+        send = flow.access_link.send
         for seg in segments:
-            flow.access_link.send(seg)
-        self._sync_timer(flow)
+            send(seg)
+        deadline = flow.sender.rto_deadline
+        if deadline is not None and (flow.timer_at is None or deadline < flow.timer_at):
+            flow.timer_at = deadline
+            self.eq.schedule_at(deadline, TIMER, functools.partial(self._on_timer, flow))
 
     def _deliver_to_receiver_side(self, seg: Segment) -> None:
         # Same float operations, in the same order, as a Link's service.
@@ -455,8 +474,8 @@ class DumbbellSim:
         flow.recv_free_at = (max(self.eq.now, flow.recv_free_at)
                              + seg.wire_bytes * 8.0 / sc.access_rate_bps)
         self.eq.schedule_at(
-            flow.recv_free_at + sc.access_delay_s, EventKind.ARRIVAL,
-            lambda: self._data_reaches_receiver(seg),
+            flow.recv_free_at + sc.access_delay_s, ARRIVAL,
+            functools.partial(self._data_reaches_receiver, seg),
         )
 
     def _data_reaches_receiver(self, seg: Segment) -> None:
@@ -479,7 +498,7 @@ class DumbbellSim:
         departures.append(done)
         self.eq.schedule_at(
             (done + sc.bottleneck_delay_s) + sc.access_delay_s,
-            EventKind.ARRIVAL, lambda: self._ack_reaches_sender(ack),
+            ARRIVAL, functools.partial(self._ack_reaches_sender, ack),
         )
 
     def _ack_reaches_sender(self, seg: Segment) -> None:
@@ -489,15 +508,6 @@ class DumbbellSim:
 
     # -------------------- timers --------------------
 
-    def _sync_timer(self, flow: _Flow) -> None:
-        deadline = flow.sender.rto_deadline
-        if deadline is None:
-            return
-        if flow.timer_at is None or deadline < flow.timer_at:
-            flow.timer_at = deadline
-            self.eq.schedule_at(deadline, EventKind.TIMER,
-                                lambda: self._on_timer(flow))
-
     def _on_timer(self, flow: _Flow) -> None:
         now = self.eq.now
         if now != flow.timer_at:
@@ -506,7 +516,7 @@ class DumbbellSim:
         if flow.sender.rto_deadline == now:
             self._transmit(flow, flow.sender.on_timeout(now))
         else:
-            self._sync_timer(flow)  # cleared, or moved later
+            self._transmit(flow, ())  # cleared, or moved later
 
     # -------------------- run --------------------
 
@@ -525,7 +535,7 @@ class DumbbellSim:
         sc = self.scenario
         for flow, start in zip(self.flows, self.start_times):
             self.eq.schedule_at(
-                start, EventKind.FLOW_START, lambda f=flow: self._start_flow(f)
+                start, EventKind.FLOW_START, functools.partial(self._start_flow, flow)
             )
         # warmup_s < duration_s, so this always fires before the run ends.
         self.eq.schedule_at(

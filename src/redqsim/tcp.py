@@ -41,24 +41,26 @@ class TcpVariant(enum.Enum):
         return self.value
 
 
-@dataclass(slots=True, frozen=True)
 class Segment:
-    """One wire unit: payload bytes plus a fixed 40-byte header."""
+    """One wire unit: payload bytes plus a fixed 40-byte header.
 
-    flow_id: int
-    seq: int = 0
-    payload: int = 0
-    is_ack: bool = False
-    ack_no: int = 0
-    sack_blocks: tuple[tuple[int, int], ...] = ()
+    wire_bytes is stored at construction, since every hop reads it.
+    Segments are never mutated once built.
+    """
 
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload + HEADER_BYTES
+    __slots__ = ("flow_id", "seq", "payload", "is_ack", "ack_no", "sack_blocks",
+                 "wire_bytes")
 
-    @property
-    def end(self) -> int:
-        return self.seq + self.payload
+    def __init__(self, flow_id: int, seq: int = 0, payload: int = 0,
+                 is_ack: bool = False, ack_no: int = 0,
+                 sack_blocks: tuple[tuple[int, int], ...] = ()):
+        self.flow_id = flow_id
+        self.seq = seq
+        self.payload = payload
+        self.is_ack = is_ack
+        self.ack_no = ack_no
+        self.sack_blocks = sack_blocks
+        self.wire_bytes = payload + HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -216,8 +218,9 @@ class TcpSender:
 
     def _fill_window(self, now: float) -> list[Segment]:
         mss = self.config.mss
+        window = self._window()
         out = []
-        while self.outstanding + mss <= self._window():
+        while self.outstanding + mss <= window:
             out.append(self._make_segment(self.snd_nxt, mss, now))
             self.snd_nxt += mss
         return out
@@ -301,12 +304,14 @@ class TcpSender:
             # The peer held buffered data past a rewound frontier; jump
             # forward rather than resending what it already has.
             self.snd_nxt = ack_no
-        self.sack_scoreboard = [
-            (max(s, ack_no), e) for s, e in self.sack_scoreboard if e > ack_no
-        ]
-        self._retx_ranges = [
-            (max(s, ack_no), e) for s, e in self._retx_ranges if e > ack_no
-        ]
+        if self.sack_scoreboard:
+            self.sack_scoreboard = [
+                (max(s, ack_no), e) for s, e in self.sack_scoreboard if e > ack_no
+            ]
+        if self._retx_ranges:
+            self._retx_ranges = [
+                (max(s, ack_no), e) for s, e in self._retx_ranges if e > ack_no
+            ]
         if self.in_recovery:
             # Plain recovery ends on any advance, selective at the frontier.
             if (self.config.variant is TcpVariant.RENO
@@ -413,7 +418,12 @@ class TcpReceiver:
     def on_data(self, seg: Segment, now: float) -> Segment:
         if seg.is_ack:
             raise ValueError("receiver expects data segments")
-        start, end = seg.seq, seg.end
+        start, end = seg.seq, seg.seq + seg.payload
+        if not self._ooo and start <= self.rcv_nxt < end:
+            # In order with nothing buffered, so nothing to report either.
+            self.delivered_bytes += end - self.rcv_nxt
+            self.rcv_nxt = end
+            return Segment(self.flow_id, is_ack=True, ack_no=end)
         if end <= self.rcv_nxt:
             self.duplicates += 1
         elif start <= self.rcv_nxt:

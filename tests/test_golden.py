@@ -23,6 +23,13 @@ and zero delay on every hop, where ACK arrivals and departures at that
 queue can share an instant.  The run drops ACKs.  The digest was taken
 before the return queue moved from a link with its own service events
 into the receiver event, and was not re-pinned after.
+
+Beside the digests of the GOLDEN and TIE_FRAGILE runs sit their
+RunReport.event_count values, which pin the event structure as well as
+the bytes.  They were taken before the per-event cost cuts (partial and
+bound-method handlers, the slotted segment with a stored wire size, the
+receiver's in-order fast path) landed, so a change that makes an event
+cheaper must also leave every event in place.
 """
 
 import hashlib
@@ -49,11 +56,25 @@ GOLDEN = {
     ("RED_5", "sack"): "46cd4867ec25ce2a4865afe2b7aebcbc8f23dcc900a39ccf097c21a2f722739b",
 }
 
+GOLDEN_EVENTS = {
+    ("RED_1", "reno"): 116787,
+    ("RED_2", "reno"): 186404,
+    ("RED_3", "reno"): 134041,
+    ("RED_4", "reno"): 152704,
+    ("RED_5", "reno"): 186323,
+    ("RED_5", "sack"): 192162,
+}
+
 
 # (variant, tcp, bottleneck delay s, access delay s) -> digest
 TIE_FRAGILE = {
     ("RED_4", "reno", 0.015, 0.0001): "008b6ff8fc00dde4760a35d27dfa06bf3cc463e1d24c9ddca96a6c2c0df16b46",
     ("RED_5", "sack", 0.0, 0.0): "88183fdbb534406814c574bd5849f51a0f418441b937822897b15baccc0dddf5",
+}
+
+TIE_FRAGILE_EVENTS = {
+    ("RED_4", "reno", 0.015, 0.0001): 160070,
+    ("RED_5", "sack", 0.0, 0.0): 207956,
 }
 
 
@@ -70,22 +91,25 @@ def rows_digest(variant, tcp, bottleneck_delay_s, access_delay_s=0.001):
         bottleneck_delay_s=bottleneck_delay_s,
         access_delay_s=access_delay_s,
     )
-    rows = report_rows(run_scenario(scenario))
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest(), rows
+    report = run_scenario(scenario)
+    rows = report_rows(report)
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest(), rows, report.event_count
 
 
 @pytest.mark.parametrize("variant, tcp", list(GOLDEN),
                          ids=[f"{v}-{t}" for v, t in GOLDEN])
 def test_csv_rows_match_pinned_digest(variant, tcp):
-    digest, rows = rows_digest(variant, tcp, 0.015)
+    digest, rows, events = rows_digest(variant, tcp, 0.015)
     assert digest == GOLDEN[(variant, tcp)], "\n".join(rows)
+    assert events == GOLDEN_EVENTS[(variant, tcp)]
 
 
 @pytest.mark.parametrize("case", list(TIE_FRAGILE),
                          ids=[f"{v}-{t}-d{d}-a{a}" for v, t, d, a in TIE_FRAGILE])
 def test_tie_fragile_rows_match_pinned_digest(case):
-    digest, rows = rows_digest(*case)
+    digest, rows, events = rows_digest(*case)
     assert digest == TIE_FRAGILE[case], "\n".join(rows)
+    assert events == TIE_FRAGILE_EVENTS[case]
 
 
 REVERSE_DROP_DIGEST = "72da17546466f31980a81521eb8f76bac2b60cbdbf35615f5e2b3ef7d1b14c47"

@@ -1,0 +1,173 @@
+"""Mutant kill matrix: each planted fault must fail a named fast check.
+
+A mutant is one function or method of the package with one piece of its
+source replaced, compiled in its own module's namespace and installed by
+one monkeypatch: on the class for a method, and in every loaded module
+that holds the function for a module-level one (engine and the tests
+import red.decide and friends by name, so patching red alone would miss
+those call sites).
+
+The check is an existing test called directly, or a Hypothesis property
+called through its inner test at fixed examples, so each kill is
+deterministic and no shrinking runs.  The check must pass on the package
+before it fails on the mutant.  A mutant that no check kills stays in the
+matrix as a strict expected failure, so a check that starts to kill it
+shows up.
+"""
+
+import __future__
+import inspect
+import re
+import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+import test_droplaw
+import test_engine
+import test_red
+import test_tcp
+from redqsim import droplaw, engine, red, tcp
+from redqsim.red import RedParams, RedVariant
+from redqsim.tcp import TcpVariant
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    owner: object
+    attr: str
+    old: str
+    new: str
+    check: Callable[[pytest.MonkeyPatch], None]
+    survives: str = ""  # why no check kills it, for a surviving mutant
+
+    def install(self, monkeypatch):
+        original = inspect.getattr_static(self.owner, self.attr)
+        source = textwrap.dedent(inspect.getsource(original))
+        assert self.old in source, f"{self.name}: pattern not in source"
+        module = sys.modules[original.__module__]
+        code = compile(source.replace(self.old, self.new),
+                       f"<mutant: {self.name}>", "exec",
+                       flags=__future__.annotations.compiler_flag, dont_inherit=True)
+        namespace = {}
+        exec(code, vars(module), namespace)
+        mutant = namespace[original.__name__]
+        if inspect.isclass(self.owner):
+            monkeypatch.setattr(self.owner, self.attr, mutant)
+            return
+        for mod in list(sys.modules.values()):
+            for key, value in list(getattr(mod, "__dict__", {}).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, mutant)
+
+
+def endpoint_invariants(*examples):
+    """The TCP endpoint invariant property at fixed (variant, window,
+    loss, reorder, seed) examples."""
+    inner = test_tcp.TestEndpointInvariants.test_invariants_hold_after_every_call
+    inner = inner.hypothesis.inner_test
+
+    def check(_monkeypatch):
+        for variant, wnd, loss, reorder, seed in examples:
+            inner(test_tcp.TestEndpointInvariants(), variant=variant,
+                  wnd_segments=wnd, loss=loss, reorder=reorder, seed=seed)
+
+    return check
+
+
+RENO, SACK = TcpVariant.RENO, TcpVariant.SACK
+# Examples of the invariant property that kill a mutant below.
+FLOOR_EXAMPLE = (RENO, 3, 0.1, 0.0, 1)
+SCOREBOARD_EXAMPLE = (SACK, 4, 0.02, 0.0, 21)
+# Examples on which the surviving mutants were tried.
+SURVIVOR_EXAMPLES = [(v, w, loss, reorder, seed)
+                     for v in (RENO, SACK) for w in (3, 16)
+                     for loss in (0.02, 0.1, 0.3) for reorder in (0.2, 1.0)
+                     for seed in range(2)]
+
+MUTANTS = [
+    Mutant("row_step without the count reset", red, "row_step",
+           "state.count = 0.0\n", "pass\n",
+           lambda _mp: test_red.TestCountMechanics()
+           .test_accept_advances_and_drop_resets(RedParams())),
+    Mutant("size powers (1, s, s + s)", red, "decide",
+           "(1.0, s, s * s)", "(1.0, s, s + s)",
+           lambda _mp: test_red.TestFullSizeEquivalence()
+           .test_identical_decisions_against_shared_draws(RedParams(), RedVariant.RED_5)),
+    Mutant("packet size normalised by M + 1", red, "decide",
+           "packet_len / params.max_packet_size",
+           "packet_len / (params.max_packet_size + 1)",
+           lambda _mp: test_red.TestFullSizeEquivalence()
+           .test_identical_decisions_against_shared_draws(RedParams(), RedVariant.RED_5)),
+    Mutant("Monte Carlo p_a table off by one position", droplaw, "montecarlo_interdrop",
+           "powers[k % period]", "powers[(k + 1) % period]",
+           lambda _mp: test_droplaw.TestMonteCarlo()
+           .test_replay_bit_identical_to_checked_steps(RedVariant.RED_5, "three-mtu", 3)),
+    Mutant("buffer-full drop only above buffer_cap", red, "decide",
+           "if q >= params.buffer_cap:", "if q > params.buffer_cap:",
+           lambda _mp: test_red.TestOnPacketArrival()
+           .test_full_buffer_drops_before_anything_else(RedParams())),
+    Mutant("on_timeout without the snd_nxt rewind", tcp.TcpSender, "on_timeout",
+           "self.snd_nxt = self.snd_una\n", "pass\n",
+           lambda _mp: test_tcp.TestTimeout().test_collapse_and_frontier_rewind()),
+    Mutant("third duplicate without the 2 * mss ssthresh floor", tcp.TcpSender,
+           "_on_duplicate_ack", "max(self.cwnd / 2.0, 2.0 * mss)", "self.cwnd / 2.0",
+           endpoint_invariants(FLOOR_EXAMPLE)),
+    Mutant("scoreboard not clipped at a new ACK", tcp.TcpSender, "_on_new_ack",
+           "(max(s, ack_no), e) for s, e in self.sack_scoreboard if e > ack_no",
+           "(s, e) for s, e in self.sack_scoreboard",
+           endpoint_invariants(SCOREBOARD_EXAMPLE)),
+    Mutant("delivered_bytes assigned instead of added", tcp.TcpReceiver, "on_data",
+           "self.delivered_bytes +=", "self.delivered_bytes =",
+           lambda _mp: test_tcp.TestPipeRuns().test_lossless_run_drains_cleanly(RENO)),
+    Mutant("stale timer entry fires before the deadline", engine.DumbbellSim,
+           "_on_timer", "if flow.sender.rto_deadline == now:",
+           "if flow.sender.rto_deadline is not None:",
+           lambda mp: test_engine.TestBehavior()
+           .test_timeouts_fire_at_the_deadline_and_none_is_skipped(mp)),
+    Mutant("receive access serialization dropped", engine.DumbbellSim,
+           "_deliver_to_receiver_side",
+           "+ seg.wire_bytes * 8.0 / sc.access_rate_bps)", "+ 0.0)",
+           lambda mp: test_engine.TestTopology()
+           .test_lone_flow_first_ack_crosses_every_hop_once(mp)),
+    Mutant("leaky admission, random drops untallied", engine.Admission,
+           "admit", "c.drops_random[g] += 1\n", "pass\n",
+           lambda _mp: test_engine.TestConservation()
+           .test_bottleneck_audit_conserves_packets(RedVariant.RED_1)),
+    # The fast paths, each taken without its guard.
+    Mutant("receiver fast path with data buffered", tcp.TcpReceiver, "on_data",
+           "if not self._ooo and start <= self.rcv_nxt < end:",
+           "if start <= self.rcv_nxt < end:",
+           lambda _mp: test_tcp.TestReceiver().test_gap_then_cumulative_jump()),
+    Mutant("scoreboard never rebuilt at a new ACK", tcp.TcpSender, "_on_new_ack",
+           "if self.sack_scoreboard:", "if False:",
+           endpoint_invariants(SCOREBOARD_EXAMPLE)),
+    Mutant("retransmitted ranges never rebuilt at a new ACK", tcp.TcpSender,
+           "_on_new_ack", "if self._retx_ranges:", "if False:",
+           endpoint_invariants(*SURVIVOR_EXAMPLES),
+           survives="_pipe() and _next_hole() clip at snd_una themselves"),
+    Mutant("new ACK without the snd_nxt jump", tcp.TcpSender, "_on_new_ack",
+           "self.snd_nxt = ack_no\n", "pass\n",
+           endpoint_invariants(*SURVIVOR_EXAMPLES),
+           survives="the same call's _fill_window restores snd_nxt >= snd_una"),
+]
+
+
+# A survivor may fail only by pytest.raises' "DID NOT RAISE": a failing
+# clean check, or a pattern install() cannot find, fails the test.
+@pytest.mark.parametrize("mutant", [
+    pytest.param(m, marks=pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                                            reason=m.survives))
+    if m.survives else m
+    for m in MUTANTS
+], ids=[re.sub(r"\W+", "-", m.name) for m in MUTANTS])
+def test_check_passes_on_the_package_and_kills_the_mutant(mutant, monkeypatch):
+    with monkeypatch.context() as clean:
+        mutant.check(clean)
+    with monkeypatch.context() as patched:
+        mutant.install(patched)
+        with pytest.raises(AssertionError):
+            mutant.check(patched)
