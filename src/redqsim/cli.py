@@ -81,9 +81,9 @@ EXIT_RUNTIME = 3
 VALIDATE_TV_THRESHOLD = 0.02
 MEANINGFUL_TRIALS = 100_000
 # Monte Carlo work cap: trials x the exact law's mean gap, in gatekeeper
-# steps.  The replay ran 8.6-11.2 M steps/s under Python 3.11 on a 2-core
-# x86-64 host, so the cap is about 5 s of replay there; the default
-# 200,000 trials fit under it down to a mean gap of 250 arrivals.
+# steps.  The replay ran 20.0-22.0 M steps/s (RED_1, p_b 0.004 and 0.01)
+# under Python 3.11 on a 2-core x86-64 host, so the cap is about 2.3-2.5 s
+# there; the default 200,000 trials fit under it down to a mean gap of 250.
 MAX_TRIAL_STEPS = 50_000_000
 SWEEP_SEED_MULTIPLIER = 1_000_003
 SWEEP_SEED_MODULUS = 2 ** 31

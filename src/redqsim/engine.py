@@ -18,13 +18,18 @@ hangs off the second router on its own access link, so the round-trip
 floor is twice the bottleneck delay plus four access delays.  Receive
 access links are per-flow clocks; sender access links and the data
 bottleneck keep their service events, whose same-time ties with
-gatekeeper arrivals fix the event order.  Each flow keeps at most one
-pending retransmission-timer entry.  The return queue is a deque of
-departure times: every ACK reaches it one access delay after its
-receiver event, in receiver-event order, so that event serves it and
-schedules only its arrival at the sender.  Tie rule: a departure at the
-instant an ACK arrives leaves first, which matters only when the queue
-is full then.
+gatekeeper arrivals fix the event order.  The data bottleneck's far end
+has no event: a departing packet goes straight to its receive clock
+with the time a far-end arrival event would have had.  That keeps the
+bytes, because one server departs packets one at a time, so each
+flow's far-end times reach its receive clock in departure order, with
+the same operands, and every receiver event keeps its time.  Each flow
+keeps at most one pending retransmission-timer entry.  The return
+queue is a deque of departure times: every ACK reaches it one access
+delay after its receiver event, in receiver-event order, so that event
+serves it and schedules only its arrival at the sender.  Tie rule: a
+departure at the instant an ACK arrives leaves first, which matters
+only when the queue is full then.
 """
 
 from __future__ import annotations
@@ -72,11 +77,11 @@ class EventQueue:
     """Binary-heap scheduler with stable same-time ordering.
 
     Heap entries are (time, sequence, callback) tuples; the sequence
-    number is unique, so ties never reach the callback.  Hot callers
-    pass now + delay to schedule_at themselves, the float schedule()
-    computes.  schedule_at(when, kind, fn) keeps that signature, and
-    the kind is accepted but not stored, because instrumentation wraps
-    it to count the events of each kind.
+    number is unique, so ties never reach the callback.  Callers pass
+    the absolute time, now + delay for a delay.  schedule_at(when,
+    kind, fn) keeps that signature, and the kind is accepted but not
+    stored, because instrumentation wraps it to count the events of
+    each kind.
     """
 
     def __init__(self):
@@ -84,9 +89,6 @@ class EventQueue:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.event_count = 0
-
-    def schedule(self, delay: float, kind: EventKind, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now + delay, kind, fn)
 
     def schedule_at(self, when: float, kind: EventKind, fn: Callable[[], None]) -> None:
         if when < self.now - 1e-12:
@@ -116,7 +118,7 @@ class EventQueue:
 
 
 # ---------------------------------------------------------------
-# admission policies for router queues
+# router queues and links
 # ---------------------------------------------------------------
 
 PER_GROUP_TALLIES = ("arrivals", "accepted", "drops_random",
@@ -154,105 +156,14 @@ class QueueCounters:
         return out
 
 
-class Admission:
-    """Admission control for a router queue: one verdict rule per subclass.
-
-    admit() takes exactly one uniform draw per arriving packet, whatever
-    branch the rule takes, so the random stream depends only on the
-    arrival order.  It judges a packet that finds q packets at the queue
-    (the link's backlog, which owns the length) with
-    judge(q, packet_len, u), which returns (verdict, p_b, p_a) as
-    red.decide does, and tallies the arrival and its verdict by group.
-    """
-
-    def __init__(self, rng: random.Random, group_of: Callable[[int], int],
-                 n_groups: int):
-        self.rng = rng
-        self.group_of = group_of
-        self.counters = QueueCounters(n_groups)
-
-    def judge(self, q: int, packet_len: int, u: float) -> tuple[Verdict, float, float]:
-        raise NotImplementedError
-
-    def admit(self, seg: Segment, q: int) -> bool:
-        c = self.counters
-        g = self.group_of(seg.flow_id)
-        c.arrivals[g] += 1
-        verdict = self.judge(q, seg.wire_bytes, self.rng.random())[0]
-        if verdict is Verdict.ACCEPT:
-            c.accepted[g] += 1
-            c.max_q = max(c.max_q, q + 1)
-            return True
-        if verdict is Verdict.RANDOM_DROP:
-            c.drops_random[g] += 1
-        elif verdict is Verdict.FORCED_DROP_AVG:
-            c.drops_forced_avg[g] += 1
-        else:
-            c.drops_buffer[g] += 1
-        return False
-
-
-class RedAdmission(Admission):
-    """Drop gatekeeper in front of a router queue.
-
-    judge is red.decide with this queue's state, parameters and variant
-    row bound, so admit() calls the gatekeeper with no frame between.
-    """
-
-    def __init__(
-        self,
-        params: RedParams,
-        variant: RedVariant,
-        rng: random.Random,
-        group_of: Callable[[int], int],
-        n_groups: int,
-    ):
-        super().__init__(rng, group_of, n_groups)
-        self.params = params
-        self.state = RedState()  # its q is unused: the link owns the length
-        self.row = VARIANT_EXPONENTS[variant]
-        # Scenario bounds every mtu by max_packet_size: a valid length.
-        self.judge = functools.partial(decide, self.state, params, self.row)
-
-
-class BernoulliAdmission(Admission):
-    """Size-blind independent dropper, for calibration runs.
-
-    A constant drop probability and an occupancy cap.
-    """
-
-    def __init__(
-        self,
-        loss_prob: float,
-        cap: int,
-        rng: random.Random,
-        group_of: Callable[[int], int],
-        n_groups: int,
-    ):
-        if not 0.0 <= loss_prob < 1.0:
-            raise ValueError("loss_prob must be in [0, 1)")
-        super().__init__(rng, group_of, n_groups)
-        self.loss_prob = loss_prob
-        self.cap = cap
-
-    def judge(self, q: int, packet_len: int, u: float) -> tuple[Verdict, float, float]:
-        p = self.loss_prob
-        if q >= self.cap:
-            return Verdict.FORCED_DROP_BUFFER, 0.0, 0.0
-        return (Verdict.RANDOM_DROP if u < p else Verdict.ACCEPT), p, p
-
-
-# ---------------------------------------------------------------
-# links
-# ---------------------------------------------------------------
-
 class Link:
-    """One-way link: optional admission, serialization, propagation.
+    """One-way FIFO link: serialization, then propagation.
 
     The backlog holds the waiting packets and, at its head, the one in
-    service, so a non-empty backlog means busy.  Its length is the queue
-    length that the admission judges.  The head's service ends
-    wire_bytes * 8.0 / rate_bps after it reaches the head.
+    service, so a non-empty backlog means busy.  The head's service ends
+    wire_bytes * 8.0 / rate_bps after it reaches the head, and the packet
+    reaches the far end prop_delay_s after that, as one ARRIVAL event
+    that calls deliver(seg).
     """
 
     def __init__(
@@ -261,19 +172,15 @@ class Link:
         rate_bps: float,
         prop_delay_s: float,
         deliver: Callable[[Segment], None],
-        admission=None,
     ):
         self.eq = eq
         self.rate_bps = rate_bps
         self.prop_delay_s = prop_delay_s
         self.deliver = deliver
-        self.admission = admission
         self.backlog: deque[Segment] = deque()
 
     def send(self, seg: Segment) -> None:
         backlog = self.backlog
-        if self.admission is not None and not self.admission.admit(seg, len(backlog)):
-            return
         backlog.append(seg)
         if len(backlog) == 1:
             eq = self.eq
@@ -283,15 +190,66 @@ class Link:
     def _finish_service(self) -> None:
         backlog = self.backlog
         seg = backlog.popleft()
-        if self.admission is not None:
-            self.admission.counters.departed += 1
         eq = self.eq
         now = eq.now
-        eq.schedule_at(now + self.prop_delay_s, ARRIVAL,
-                       functools.partial(self.deliver, seg))
+        self._depart(seg, now + self.prop_delay_s)
         if backlog:
             eq.schedule_at(now + backlog[0].wire_bytes * 8.0 / self.rate_bps,
                            LINK_DONE, self._finish_service)
+
+    def _depart(self, seg: Segment, arrive: float) -> None:
+        self.eq.schedule_at(arrive, ARRIVAL, functools.partial(self.deliver, seg))
+
+
+class Bottleneck(Link):
+    """The guarded router queue: a Link that judges and tallies.
+
+    Every arrival takes exactly one uniform draw, whatever the verdict,
+    so the random stream depends only on the arrival order.  A packet
+    that finds q packets in the backlog (the only copy of the queue
+    length) is judged by judge(q, packet_len, u) -> (verdict, p_b, p_a),
+    as red.decide returns, and tallied by group with its verdict.  A
+    departure is tallied and goes to deliver(seg, arrive) at once with
+    its far-end time, so the far end has no event.
+    """
+
+    def __init__(
+        self,
+        eq: EventQueue,
+        rate_bps: float,
+        prop_delay_s: float,
+        deliver: Callable[[Segment, float], None],
+        judge: Callable[[int, int, float], tuple[Verdict, float, float]],
+        rng: random.Random,
+        group_of: Callable[[int], int],
+        n_groups: int,
+    ):
+        super().__init__(eq, rate_bps, prop_delay_s, deliver)
+        self.judge = judge
+        self.rng = rng
+        self.group_of = group_of
+        self.counters = QueueCounters(n_groups)
+
+    def send(self, seg: Segment) -> None:
+        c = self.counters
+        g = self.group_of(seg.flow_id)
+        q = len(self.backlog)
+        c.arrivals[g] += 1
+        verdict = self.judge(q, seg.wire_bytes, self.rng.random())[0]
+        if verdict is Verdict.ACCEPT:
+            c.accepted[g] += 1
+            c.max_q = max(c.max_q, q + 1)
+            Link.send(self, seg)
+        elif verdict is Verdict.RANDOM_DROP:
+            c.drops_random[g] += 1
+        elif verdict is Verdict.FORCED_DROP_AVG:
+            c.drops_forced_avg[g] += 1
+        else:
+            c.drops_buffer[g] += 1
+
+    def _depart(self, seg: Segment, arrive: float) -> None:
+        self.counters.departed += 1
+        self.deliver(seg, arrive)
 
 
 # ---------------------------------------------------------------
@@ -410,13 +368,15 @@ class _Flow:
 class DumbbellSim:
     """One configured experiment, ready to run.
 
-    bottleneck_admission_factory overrides the data-direction queue policy:
-    it receives the partially built simulation (rng and group_of are ready)
-    and returns the admission object.  By default the scenario's drop
-    gatekeeper guards the bottleneck.
+    judge(q, packet_len, u) -> (verdict, p_b, p_a) overrides the
+    bottleneck's verdict rule, by default red.decide with the scenario's
+    gatekeeper bound.  The bottleneck's far end has no event, and the
+    bytes are those a far-end event gives: one server departs packets
+    one at a time, so each flow's far-end times reach its receive clock
+    in departure order, with the same operands.
     """
 
-    def __init__(self, scenario: Scenario, bottleneck_admission_factory=None):
+    def __init__(self, scenario: Scenario, judge=None):
         self.scenario = scenario
         self.eq = EventQueue()
         self.rng = random.Random(scenario.seed)
@@ -433,20 +393,21 @@ class DumbbellSim:
         # Start jitter is drawn before any other randomness, in flow order.
         self.start_times = [self.rng.random() for _ in self.flows]
 
-        if bottleneck_admission_factory is None:
-            admission = RedAdmission(scenario.red, scenario.red_variant,
-                                     self.rng, self.group_of, len(scenario.groups))
-        else:
-            admission = bottleneck_admission_factory(self)
+        if judge is None:
+            # Scenario bounds every mtu by max_packet_size: a valid length.
+            # The state's q is unused: the bottleneck's backlog owns it.
+            judge = functools.partial(decide, RedState(), scenario.red,
+                                      VARIANT_EXPONENTS[scenario.red_variant])
         # Return-queue departure times (the length is the occupancy).
         self._ack_departures: deque[float] = deque()
         self.reverse_arrivals = 0
         self.reverse_drops = 0
 
         eq = self.eq
-        self.bottleneck_link = Link(
+        self.bottleneck_link = Bottleneck(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
-            self._deliver_to_receiver_side, admission=admission,
+            self._deliver_to_receiver_side, judge, self.rng, self.group_of,
+            len(scenario.groups),
         )
         for flow in self.flows:
             flow.access_link = Link(
@@ -467,11 +428,12 @@ class DumbbellSim:
             flow.timer_at = deadline
             self.eq.schedule_at(deadline, TIMER, functools.partial(self._on_timer, flow))
 
-    def _deliver_to_receiver_side(self, seg: Segment) -> None:
+    def _deliver_to_receiver_side(self, seg: Segment, arrive: float) -> None:
+        # Runs at the bottleneck departure; arrive is the far-end time.
         # Same float operations, in the same order, as a Link's service.
         sc = self.scenario
         flow = self.flows[seg.flow_id]
-        flow.recv_free_at = (max(self.eq.now, flow.recv_free_at)
+        flow.recv_free_at = (max(arrive, flow.recv_free_at)
                              + seg.wire_bytes * 8.0 / sc.access_rate_bps)
         self.eq.schedule_at(
             flow.recv_free_at + sc.access_delay_s, ARRIVAL,
@@ -525,7 +487,7 @@ class DumbbellSim:
         self._transmit(flow, out)
 
     def _take_warmup_marks(self) -> None:
-        self._warmup_counters = self.bottleneck_link.admission.counters.copy()
+        self._warmup_counters = self.bottleneck_link.counters.copy()
         self._warmup_delivered = [f.receiver.delivered_bytes for f in self.flows]
 
     def run(self) -> metrics.RunReport:
@@ -542,7 +504,7 @@ class DumbbellSim:
             sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_marks
         )
         drained = self.eq.run(sc.duration_s)
-        counters = self.bottleneck_link.admission.counters
+        counters = self.bottleneck_link.counters
         return metrics.build_run_report(
             scenario=sc,
             group_of=self.group_of,
@@ -560,8 +522,5 @@ class DumbbellSim:
         )
 
 
-def run_scenario(scenario: Scenario,
-                 bottleneck_admission_factory=None) -> metrics.RunReport:
-    sim = DumbbellSim(
-        scenario, bottleneck_admission_factory=bottleneck_admission_factory)
-    return sim.run()
+def run_scenario(scenario: Scenario, judge=None) -> metrics.RunReport:
+    return DumbbellSim(scenario, judge=judge).run()

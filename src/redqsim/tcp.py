@@ -308,10 +308,6 @@ class TcpSender:
             self.sack_scoreboard = [
                 (max(s, ack_no), e) for s, e in self.sack_scoreboard if e > ack_no
             ]
-        if self._retx_ranges:
-            self._retx_ranges = [
-                (max(s, ack_no), e) for s, e in self._retx_ranges if e > ack_no
-            ]
         if self.in_recovery:
             # Plain recovery ends on any advance, selective at the frontier.
             if (self.config.variant is TcpVariant.RENO

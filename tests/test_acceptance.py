@@ -32,15 +32,11 @@ from redqsim.droplaw import (
     montecarlo_interdrop,
     tv_distance,
 )
-from redqsim.engine import (
-    BernoulliAdmission,
-    FlowGroup,
-    Scenario,
-    run_scenario,
-)
+from redqsim.engine import FlowGroup, Scenario, run_scenario
 from redqsim.parallel import ordered_map
 from redqsim.red import RedParams, RedState, RedVariant, on_packet_arrival
 from redqsim.tcp import TcpVariant
+from test_engine import bernoulli_judge
 
 TV_TOLERANCE = 0.02
 MC_SEED = 20260819
@@ -265,10 +261,7 @@ class TestOracleCriteria:
         )
         assert scenario.rtt_floor_s() == pytest.approx(0.1)
         report = run_scenario(
-            scenario,
-            bottleneck_admission_factory=lambda sim: BernoulliAdmission(
-                0.01, scenario.red.buffer_cap, sim.rng, sim.group_of,
-                len(scenario.groups)))
+            scenario, judge=bernoulli_judge(0.01, scenario.red.buffer_cap))
         bound = mathis_goodput_bound(1460, 0.1, 0.01)
         ok = report.total_goodput_bps <= MATHIS_HEADROOM * bound
         record(6, ok, f"single-flow goodput {report.total_goodput_bps/1e6:.3f} "

@@ -7,18 +7,16 @@ import pytest
 
 from redqsim.cli import report_rows
 from redqsim.engine import (
-    BernoulliAdmission,
+    Bottleneck,
     EventKind,
     ConfigError,
     DumbbellSim,
     EventQueue,
     FlowGroup,
-    Link,
-    RedAdmission,
     Scenario,
     run_scenario,
 )
-from redqsim.red import RedParams, RedVariant
+from redqsim.red import RedParams, RedVariant, Verdict
 from redqsim.tcp import Segment, TcpSender, TcpVariant
 
 THREE_GROUPS = (
@@ -44,6 +42,24 @@ def make_scenario(**overrides):
     return Scenario(**defaults)
 
 
+def bernoulli_judge(loss_prob, cap):
+    """Size-blind independent dropper, for calibration runs.
+
+    A constant drop probability and an occupancy cap, as a bottleneck
+    judge: (q, packet_len, u) -> (verdict, p_b, p_a).
+    """
+    if not 0.0 <= loss_prob < 1.0:
+        raise ValueError("loss_prob must be in [0, 1)")
+
+    def judge(q, _packet_len, u):
+        if q >= cap:
+            return Verdict.FORCED_DROP_BUFFER, 0.0, 0.0
+        verdict = Verdict.RANDOM_DROP if u < loss_prob else Verdict.ACCEPT
+        return verdict, loss_prob, loss_prob
+
+    return judge
+
+
 # ---------------------------------------------------------------
 # event queue
 # ---------------------------------------------------------------
@@ -52,30 +68,31 @@ class TestEventQueue:
     def test_dispatch_orders_by_time_then_sequence(self):
         eq = EventQueue()
         order = []
-        eq.schedule(0.5, EventKind.TIMER, lambda: order.append("late"))
-        eq.schedule(0.1, EventKind.TIMER, lambda: order.append("early"))
-        eq.schedule(0.1, EventKind.TIMER, lambda: order.append("early-second"))
+        eq.schedule_at(eq.now + 0.5, EventKind.TIMER, lambda: order.append("late"))
+        eq.schedule_at(eq.now + 0.1, EventKind.TIMER, lambda: order.append("early"))
+        eq.schedule_at(eq.now + 0.1, EventKind.TIMER,
+                       lambda: order.append("early-second"))
         eq.run(until=1.0)
         assert order == ["early", "early-second", "late"]
 
     def test_scheduling_in_the_past_rejected(self):
         eq = EventQueue()
-        eq.schedule(0.2, EventKind.TIMER,
-                    lambda: eq.schedule_at(0.1, EventKind.TIMER, lambda: None))
+        eq.schedule_at(eq.now + 0.2, EventKind.TIMER,
+                       lambda: eq.schedule_at(0.1, EventKind.TIMER, lambda: None))
         with pytest.raises(RuntimeError):
             eq.run(until=1.0)
 
     def test_run_returns_drained_flag(self):
         eq = EventQueue()
-        eq.schedule(0.1, EventKind.TIMER, lambda: None)
+        eq.schedule_at(eq.now + 0.1, EventKind.TIMER, lambda: None)
         assert eq.run(until=1.0) is True
         assert eq.now == 1.0
 
     def test_run_stops_at_horizon_with_pending_events(self):
         eq = EventQueue()
         fired = []
-        eq.schedule(0.5, EventKind.TIMER, lambda: fired.append(1))
-        eq.schedule(2.0, EventKind.TIMER, lambda: fired.append(2))
+        eq.schedule_at(eq.now + 0.5, EventKind.TIMER, lambda: fired.append(1))
+        eq.schedule_at(eq.now + 2.0, EventKind.TIMER, lambda: fired.append(2))
         assert eq.run(until=1.0) is False
         assert fired == [1]
 
@@ -86,9 +103,9 @@ class TestEventQueue:
         def chain():
             times.append(eq.now)
             if len(times) < 5:
-                eq.schedule(0.1, EventKind.TIMER, chain)
+                eq.schedule_at(eq.now + 0.1, EventKind.TIMER, chain)
 
-        eq.schedule(0.1, EventKind.TIMER, chain)
+        eq.schedule_at(eq.now + 0.1, EventKind.TIMER, chain)
         eq.run(until=10.0)
         assert times == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
 
@@ -203,23 +220,20 @@ class TestConservation:
         assert audit.accepted == audit.departed + audit.residual_q
         assert audit.conserved
 
-    def test_audit_catches_arrivals_without_a_verdict(self):
-        class LeakyAdmission(RedAdmission):
-            """Counts every arrival but discards every 50th unrecorded."""
+    def test_audit_catches_arrivals_without_a_verdict(self, monkeypatch):
+        # Every arrival is counted, but every 50th is discarded unjudged.
+        send = Bottleneck.send
+        seen = [0]
 
-            seen = 0
+        def leaky_send(link, seg):
+            seen[0] += 1
+            if seen[0] % 50:
+                send(link, seg)
+            else:
+                link.counters.arrivals[link.group_of(seg.flow_id)] += 1
 
-            def admit(self, seg, q):
-                self.seen += 1
-                if self.seen % 50:
-                    return super().admit(seg, q)
-                self.counters.arrivals[self.group_of(seg.flow_id)] += 1
-                return False
-
-        sc = make_scenario(duration_s=6.0, warmup_s=1.0)
-        report = run_scenario(sc, bottleneck_admission_factory=lambda sim:
-                              LeakyAdmission(sc.red, sc.red_variant, sim.rng,
-                                             sim.group_of, len(sc.groups)))
+        monkeypatch.setattr(Bottleneck, "send", leaky_send)
+        report = run_scenario(make_scenario(duration_s=6.0, warmup_s=1.0))
         audit = report.bottleneck
         assert audit.arrivals != audit.accepted + audit.drops_total
         assert audit.accepted == audit.departed + audit.residual_q
@@ -229,11 +243,11 @@ class TestConservation:
         # The backlog is the only copy of the queue length: a burst into a
         # cap-3 queue is judged at q = 0, 1, 2, 3, 3 and leaves 3 queued.
         eq = EventQueue()
-        admission = BernoulliAdmission(0.0, 3, random.Random(1), lambda _f: 0, 1)
-        link = Link(eq, 1e6, 0.0, lambda _seg: None, admission=admission)
+        link = Bottleneck(eq, 1e6, 0.0, lambda _seg, _arrive: None,
+                          bernoulli_judge(0.0, 3), random.Random(1), lambda _f: 0, 1)
         for _ in range(5):
             link.send(Segment(0, seq=0, payload=1460))
-        c = admission.counters
+        c = link.counters
         assert (c.arrivals, c.accepted, c.drops_buffer, c.max_q) == ([5], [3], [2], 3)
         assert len(link.backlog) == 3
         eq.run(until=1.0)
@@ -274,9 +288,7 @@ class TestBehavior:
         # Under forced random loss, goodput must stay below the capacity share
         # even though retransmissions add to wire throughput.
         sc = make_scenario(duration_s=8.0, warmup_s=2.0)
-        lossy = run_scenario(sc, bottleneck_admission_factory=lambda sim:
-                             BernoulliAdmission(0.05, 200, sim.rng,
-                                                sim.group_of, len(sc.groups)))
+        lossy = run_scenario(sc, judge=bernoulli_judge(0.05, 200))
         assert lossy.bottleneck.drops_random > 0
         assert lossy.total_goodput_bps < 30e6
 
@@ -290,9 +302,7 @@ class TestBehavior:
 
         monkeypatch.setattr(TcpSender, "on_timeout", recording_on_timeout)
         sc = make_scenario(duration_s=6.0, warmup_s=1.0)
-        sim = DumbbellSim(sc, bottleneck_admission_factory=lambda sim:
-                          BernoulliAdmission(0.05, 200, sim.rng,
-                                             sim.group_of, len(sc.groups)))
+        sim = DumbbellSim(sc, judge=bernoulli_judge(0.05, 200))
         sim.run()
         assert calls
         assert all(now == deadline for now, deadline in calls)

@@ -495,8 +495,10 @@ class TestEndpointInvariants:
         delivered = 0
         now = 0.0
 
-        def check():
+        def check(out=()):
             nonlocal delivered
+            # Every segment a call sends starts at or above its snd_una.
+            assert all(seg.seq >= s.snd_una for seg in out)
             assert s.snd_una <= s.snd_nxt <= s.max_sent
             assert s.cwnd >= MSS
             # The pipe estimate is read only in recovery.  Outside it, SACK
@@ -507,15 +509,17 @@ class TestEndpointInvariants:
             assert r.delivered_bytes >= delivered
             delivered = r.delivered_bytes
 
-        data.extend(s.start(now))
-        check()
+        out = s.start(now)
+        data.extend(out)
+        check(out)
         for _ in range(400):
             pick = rng.random()
             if pick < 0.03:
                 if s.rto_deadline is not None:
                     now = s.rto_deadline
-                    data.extend(s.on_timeout(now))
-                    check()
+                    out = s.on_timeout(now)
+                    data.extend(out)
+                    check(out)
                 continue
             pending = data if pick < 0.5 else acks
             if not pending:
@@ -524,8 +528,10 @@ class TestEndpointInvariants:
             seg = pending.pop(index)
             if rng.random() < loss:
                 continue
+            out = ()
             if pending is data:
                 acks.append(r.on_data(seg, now))
             else:
-                data.extend(s.on_ack(seg, now))
-            check()
+                out = s.on_ack(seg, now)
+                data.extend(out)
+            check(out)
