@@ -12,8 +12,9 @@ budget 1/p_b.
 
 These laws are computed here by direct arithmetic, independently of the
 gatekeeper's count mechanics, so the two routes can be checked against
-each other.  A Monte Carlo harness drives the real mechanics and
-returns the empirical law for that comparison.
+each other.  One sequence of per-position p_a values, stepped through
+the real mechanics, feeds both an exact law of the mechanics and a
+Monte Carlo harness that returns the empirical law.
 
 Also provided: the classic square-root throughput ceiling for a
 congestion-controlled flow (Mathis bound) and the matching fairness
@@ -23,6 +24,7 @@ segment size.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -194,6 +196,53 @@ def interdrop_pmf_exact(
     return InterdropLaw(pmf)
 
 
+def _gap_pa_sequence(variant: RedVariant, p_b: float, stream: SizeStream):
+    """Yield the p_a of the 1st, 2nd, ... arrival after a drop.
+
+    At frozen p_b the p_a of the k-th arrival after a drop depends on k
+    alone.  Each value comes from stepping one fresh RedState through
+    red.row_step()'s accept branch (u = 1.0 never drops), which advances
+    the count with the same float operations as a per-arrival replay, so
+    it is the p_a the queue's random region would draw against.  Ends
+    after the first 1.0, which no draw can pass.  The drop formulas are
+    spelled only in red, so the laws built from this sequence check the
+    mechanics, not a copy of them.
+    """
+    row = VARIANT_EXPONENTS[variant]
+    period = len(stream.sizes)
+    powers = [(1.0, s, s * s) for s in map(stream.ratio_at, range(period))]
+    state = RedState()
+    for k in itertools.count():
+        _dropped, p_a = row_step(row, powers[k % period], p_b, state, 1.0)
+        yield p_a
+        if p_a == 1.0:
+            return
+
+
+def interdrop_pmf_mechanics(
+    variant: RedVariant, p_b: float, stream: SizeStream
+) -> InterdropLaw:
+    """Exact gap law of the production mechanics at frozen p_b.
+
+    Folds _gap_pa_sequence() into a pmf the way interdrop_pmf_exact folds
+    its hand-written p_a: mass survive * p_a at each position until the
+    survival is at most _MASS_TOL, with the residual on the last
+    position.  No draw is taken, so a comparison with the oracle can ask
+    for equality instead of a sampling tolerance.
+    """
+    _validate_pb(p_b)
+    pmf: dict[int, float] = {}
+    survive = 1.0
+    for n, p_a in enumerate(_gap_pa_sequence(variant, p_b, stream), 1):
+        pmf[n] = survive * p_a
+        survive *= 1.0 - p_a
+        if survive <= _MASS_TOL:
+            break
+    if survive > 0.0:
+        pmf[n] += survive
+    return InterdropLaw(pmf)
+
+
 def montecarlo_interdrop(
     variant: RedVariant,
     p_b: float,
@@ -205,33 +254,22 @@ def montecarlo_interdrop(
 
     Freezes p_b (equivalent to pinning the moving average) and restarts
     the size pattern after every drop, to match the law's per-gap
-    indexing.  At frozen p_b the p_a of the k-th arrival after a drop
-    depends on k alone, so it is tabled once per gap position by
-    stepping a fresh RedState through red.row_step()'s accept branch
-    (u = 1.0 never drops).  That branch advances the count with the same
-    float operations as a per-arrival replay, so each table entry is the
-    p_a the queue's random region would draw against.  The table grows
-    in chunks as trials reach its end and stops at its first 1.0, which
-    no draw can pass.  Deterministic for a given seed: one uniform draw
-    per arrival, dropping the arrival when the draw is below its p_a.
+    indexing.  Each arrival draws against the p_a of its gap position
+    from _gap_pa_sequence(), tabled in chunks as trials reach the end of
+    the table.  Deterministic for a given seed: one uniform draw per
+    arrival, dropping the arrival when the draw is below its p_a.
     """
     _validate_pb(p_b)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    row = VARIANT_EXPONENTS[variant]
-    period = len(stream.sizes)
-    powers = [(1.0, s, s * s) for s in map(stream.ratio_at, range(period))]
+    positions = _gap_pa_sequence(variant, p_b, stream)
     table: list[float] = []  # table[k]: p_a of the (k+1)-th arrival
     hits: list[int] = []  # hits[k]: trials whose gap is k + 1
-    builder = RedState()
 
     def grow() -> None:
-        for k in range(len(table), len(table) + _TABLE_CHUNK):
-            _dropped, p_a = row_step(row, powers[k % period], p_b, builder, 1.0)
-            table.append(p_a)
-            hits.append(0)
-            if p_a == 1.0:
-                return
+        chunk = list(itertools.islice(positions, _TABLE_CHUNK))
+        table.extend(chunk)
+        hits.extend([0] * len(chunk))
 
     uniform = random.Random(seed).random
     for _ in range(trials):

@@ -30,6 +30,12 @@ delay after its receiver event, in receiver-event order, so that event
 serves it and schedules only its arrival at the sender.  Tie rule: a
 departure at the instant an ACK arrives leaves first, which matters
 only when the queue is full then.
+
+A simulator connects the bottleneck's far end to its receive clocks
+only inside run(), and drops the events still pending past the horizon
+when run() returns or raises.  Outside run() it therefore holds no
+reference cycle, and it is freed as soon as its last reference goes,
+with no work left for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ class EventQueue:
             raise RuntimeError("cannot schedule into the past")
         heapq.heappush(self._heap, (when, self._seq, fn))
         self._seq += 1
+
+    def clear(self) -> None:
+        """Drop every pending event, releasing its handler."""
+        self._heap.clear()
 
     def run(self, until: float) -> bool:
         """Dispatch events up to and including time `until`.
@@ -210,7 +220,9 @@ class Bottleneck(Link):
     length) is judged by judge(q, packet_len, u) -> (verdict, p_b, p_a),
     as red.decide returns, and tallied by group with its verdict.  A
     departure is tallied and goes to deliver(seg, arrive) at once with
-    its far-end time, so the far end has no event.
+    its far-end time, so the far end has no event.  A simulator builds
+    it with deliver None and connects its far end only inside run(),
+    because that callback is an edge of the simulator's reference ring.
     """
 
     def __init__(
@@ -218,7 +230,7 @@ class Bottleneck(Link):
         eq: EventQueue,
         rate_bps: float,
         prop_delay_s: float,
-        deliver: Callable[[Segment, float], None],
+        deliver: Callable[[Segment, float], None] | None,
         judge: Callable[[int, int, float], tuple[Verdict, float, float]],
         rng: random.Random,
         group_of: Callable[[int], int],
@@ -374,6 +386,12 @@ class DumbbellSim:
     bytes are those a far-end event gives: one server departs packets
     one at a time, so each flow's far-end times reach its receive clock
     in departure order, with the same operands.
+
+    The far end is connected only while run() dispatches events, and
+    run() drops the events still pending past the horizon when it
+    returns or raises; run() refuses a second call, so none of them
+    could fire.  Outside run() the simulator holds no reference cycle,
+    so it is freed as soon as it is dropped.
     """
 
     def __init__(self, scenario: Scenario, judge=None):
@@ -406,7 +424,7 @@ class DumbbellSim:
         eq = self.eq
         self.bottleneck_link = Bottleneck(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
-            self._deliver_to_receiver_side, judge, self.rng, self.group_of,
+            None, judge, self.rng, self.group_of,
             len(scenario.groups),
         )
         for flow in self.flows:
@@ -503,7 +521,14 @@ class DumbbellSim:
         self.eq.schedule_at(
             sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_marks
         )
-        drained = self.eq.run(sc.duration_s)
+        # The far-end callback and the pending events are the only edges
+        # back to self, so both live only while events are dispatched.
+        self.bottleneck_link.deliver = self._deliver_to_receiver_side
+        try:
+            drained = self.eq.run(sc.duration_s)
+        finally:
+            self.bottleneck_link.deliver = None
+            self.eq.clear()
         counters = self.bottleneck_link.counters
         return metrics.build_run_report(
             scenario=sc,

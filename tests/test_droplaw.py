@@ -10,6 +10,7 @@ from redqsim.droplaw import (
     SizeStream,
     fairness_gap,
     interdrop_pmf_exact,
+    interdrop_pmf_mechanics,
     interdrop_pmf_red1,
     interdrop_pmf_weighted,
     mathis_goodput_bound,
@@ -234,6 +235,34 @@ class TestEnumerationRoute:
         for variant in RedVariant:
             exact = interdrop_pmf_exact(variant, 0.1, FULL)
             assert tv_distance(exact, reference) < 1e-12
+
+
+# ---------------------------------------------------------------
+# exact law of the production mechanics against the oracle
+# ---------------------------------------------------------------
+
+# Streams and values of p_b over which the mechanics' exact law must equal
+# the hand-written enumeration bit for bit.
+ORACLE_STREAMS = [(1500,), (750,), (1500, 750), (1500, 750, 375), (1, 1500),
+                  (40, 1500, 576)]
+ORACLE_PBS = [1.0, 0.5, 0.1, 0.03, 0.01, 0.004, 0.0013]
+
+
+class TestMechanicsLaw:
+    @pytest.mark.parametrize("variant", list(RedVariant), ids=lambda v: v.value)
+    def test_equals_enumeration_bit_for_bit(self, variant):
+        mismatched = [
+            (sizes, p_b)
+            for sizes in ORACLE_STREAMS
+            for p_b in ORACLE_PBS
+            if interdrop_pmf_mechanics(variant, p_b, SizeStream(sizes)).pmf
+            != interdrop_pmf_exact(variant, p_b, SizeStream(sizes)).pmf
+        ]
+        assert mismatched == []
+
+    def test_rejects_bad_probability(self):
+        with pytest.raises(ValueError):
+            interdrop_pmf_mechanics(RedVariant.RED_1, 0.0, FULL)
 
 
 # ---------------------------------------------------------------

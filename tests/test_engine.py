@@ -1,10 +1,15 @@
 """Tests for the discrete-event core and the dumbbell simulation."""
 
+import contextlib
+import gc
+import io
 import math
 import random
+import weakref
 
 import pytest
 
+from redqsim import cli
 from redqsim.cli import report_rows
 from redqsim.engine import (
     Bottleneck,
@@ -316,3 +321,99 @@ class TestBehavior:
         monkeypatch.setattr(TcpSender, "start", lambda self, now: [])
         report = run_scenario(make_scenario(duration_s=10.0, warmup_s=2.0))
         assert report.stalled
+
+
+# ---------------------------------------------------------------
+# memory: a dropped simulator is freed by reference counting
+# ---------------------------------------------------------------
+
+SWEEP_BASE = """\
+schema = 1
+name = gc-sweep
+red_variant = RED_1
+tcp = reno
+w_q = 0.002
+min_th = 40
+max_th = 120
+max_p = 0.1
+buffer_cap = 200
+max_packet_size = 1500
+duration_s = 2
+warmup_s = 1
+seed = 5
+
+[group large]
+flows = 2
+mtu = 1500
+
+[group small]
+flows = 2
+mtu = 375
+"""
+
+
+@contextlib.contextmanager
+def cyclic_collector_off():
+    """Disable gc, after collecting what is already garbage."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def short_sim():
+    return DumbbellSim(make_scenario(duration_s=2.0, warmup_s=1.0))
+
+
+def unrun_sim(_monkeypatch):
+    return short_sim()
+
+
+def ran_sim(_monkeypatch):
+    sim = short_sim()
+    sim.run()
+    return sim
+
+
+def raised_sim(monkeypatch):
+    on_ack = TcpSender.on_ack
+    calls = [0]
+
+    def failing_on_ack(sender, seg, now):
+        calls[0] += 1
+        if calls[0] > 5:
+            raise RuntimeError("planted on_ack failure")
+        return on_ack(sender, seg, now)
+
+    monkeypatch.setattr(TcpSender, "on_ack", failing_on_ack)
+    sim = short_sim()
+    with pytest.raises(RuntimeError, match="planted"):
+        sim.run()
+    return sim
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("build", [unrun_sim, ran_sim, raised_sim],
+                             ids=["unrun", "ran", "raised"])
+    def test_dropped_simulator_is_freed_at_once(self, build, monkeypatch):
+        with cyclic_collector_off():
+            sim = build(monkeypatch)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+            assert gc.collect() == 0
+
+    def test_serial_sweep_leaves_no_cyclic_garbage(self, tmp_path):
+        path = tmp_path / "base.scn"
+        path.write_text(SWEEP_BASE)
+        out = io.StringIO()
+        with cyclic_collector_off():
+            rc = cli.cmd_sweep(str(path), "RED_1", "reno", "15,80", None, None,
+                               jobs=1, stdout=out, stderr=io.StringIO())
+            assert gc.collect() == 0
+        assert rc == 0
+        assert out.getvalue().count("\n") == 1 + 2 * 2  # header, 2 cells x 2 groups

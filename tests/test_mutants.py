@@ -98,10 +98,15 @@ MUTANTS = [
            "packet_len / (params.max_packet_size + 1)",
            lambda _mp: test_red.TestFullSizeEquivalence()
            .test_identical_decisions_against_shared_draws(RedParams(), RedVariant.RED_5)),
-    Mutant("Monte Carlo p_a table off by one position", droplaw, "montecarlo_interdrop",
+    Mutant("Monte Carlo p_a table off by one position", droplaw, "_gap_pa_sequence",
            "powers[k % period]", "powers[(k + 1) % period]",
            lambda _mp: test_droplaw.TestMonteCarlo()
            .test_replay_bit_identical_to_checked_steps(RedVariant.RED_5, "three-mtu", 3)),
+    Mutant("p_a denominator one ulp toward 0", red, "_row_pa",
+           "den = 1.0 - count * powers[row[1]] * p_b\n",
+           "den = math.nextafter(1.0 - count * powers[row[1]] * p_b, 0.0)\n",
+           lambda _mp: test_droplaw.TestMechanicsLaw()
+           .test_equals_enumeration_bit_for_bit(RedVariant.RED_3)),
     Mutant("buffer-full drop only above buffer_cap", red, "decide",
            "if q >= params.buffer_cap:", "if q > params.buffer_cap:",
            lambda _mp: test_red.TestOnPacketArrival()
@@ -142,6 +147,15 @@ MUTANTS = [
            "self.deliver(seg, arrive)", "self.deliver(seg, self.eq.now)",
            lambda mp: test_engine.TestTopology()
            .test_lone_flow_first_ack_crosses_every_hop_once(mp)),
+    Mutant("far end connected when the simulator is built", engine.DumbbellSim,
+           "__init__", "None, judge, self.rng",
+           "self._deliver_to_receiver_side, judge, self.rng",
+           lambda mp: test_engine.TestNoReferenceCycles()
+           .test_dropped_simulator_is_freed_at_once(test_engine.unrun_sim, mp)),
+    Mutant("events pending past the horizon kept", engine.DumbbellSim,
+           "run", "self.eq.clear()\n", "pass\n",
+           lambda mp: test_engine.TestNoReferenceCycles()
+           .test_dropped_simulator_is_freed_at_once(test_engine.ran_sim, mp)),
     # The fast paths, each taken without its guard.
     Mutant("receiver fast path with data buffered", tcp.TcpReceiver, "on_data",
            "if not self._ooo and start <= self.rcv_nxt < end:",
