@@ -18,21 +18,25 @@ hangs off the second router on its own access link, so the round-trip
 floor is twice the bottleneck delay plus four access delays.  Receive
 access links are per-flow clocks; sender access links and the data
 bottleneck keep their service events, whose same-time ties with
-gatekeeper arrivals fix the event order.  The data bottleneck's far end
-has no event: a departing packet goes straight to its receive clock
-with the time a far-end arrival event would have had.  That keeps the
-bytes, because one server departs packets one at a time, so each
-flow's far-end times reach its receive clock in departure order, with
-the same operands, and every receiver event keeps its time.  Each flow
-keeps at most one pending retransmission-timer entry.  The return
-queue is a deque of departure times: every ACK reaches it one access
-delay after its receiver event, in receiver-event order, so that event
-serves it and schedules only its arrival at the sender.  Tie rule: a
-departure at the instant an ACK arrives leaves first, which matters
-only when the queue is full then.
+gatekeeper arrivals fix the event order.  A sender's burst joins its
+access link's backlog at once, and a link that was idle schedules one
+service event for its head, which is the schedule one send per segment
+gives.  The data bottleneck's far end has no event: Bottleneck owns the
+receive clocks, and a departing packet goes straight to its flow's
+clock with the time a far-end arrival event would have had, and
+Bottleneck schedules the receiver event.  That keeps the bytes, because
+one server departs packets one at a time, so each flow's far-end times
+reach its receive clock in departure order, with the same operands,
+and every receiver event keeps its time.  Each flow keeps at most one
+pending retransmission-timer entry.  The return queue is a deque of
+departure times: every ACK reaches it one access delay after its
+receiver event, in receiver-event order, so that event serves it and
+schedules only its arrival at the sender.  Tie rule: a departure at the
+instant an ACK arrives leaves first, which matters only when the queue
+is full then.
 
-A simulator connects the bottleneck's far end to its receive clocks
-only inside run(), and drops the events still pending past the horizon
+A simulator connects the bottleneck's receiver events to itself only
+inside run(), and drops the events still pending past the horizon
 when run() returns or raises.  Outside run() it therefore holds no
 reference cycle, and it is freed as soon as its last reference goes,
 with no work left for the cyclic garbage collector.
@@ -43,12 +47,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
-import functools
-import heapq
+import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from typing import Callable
 
 from .red import VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide
@@ -77,6 +82,8 @@ class EventKind(enum.Enum):
 
 
 ARRIVAL, LINK_DONE, TIMER = EventKind.ARRIVAL, EventKind.LINK_DONE, EventKind.TIMER
+ACCEPT, RANDOM_DROP, FORCED_DROP_AVG = (
+    Verdict.ACCEPT, Verdict.RANDOM_DROP, Verdict.FORCED_DROP_AVG)
 
 
 class EventQueue:
@@ -93,14 +100,13 @@ class EventQueue:
     def __init__(self):
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+        self._seq = itertools.count()
         self.event_count = 0
 
     def schedule_at(self, when: float, kind: EventKind, fn: Callable[[], None]) -> None:
         if when < self.now - 1e-12:
             raise RuntimeError("cannot schedule into the past")
-        heapq.heappush(self._heap, (when, self._seq, fn))
-        self._seq += 1
+        heappush(self._heap, (when, next(self._seq), fn))
 
     def clear(self) -> None:
         """Drop every pending event, releasing its handler."""
@@ -112,7 +118,7 @@ class EventQueue:
         Returns True if the queue drained before reaching `until`.
         """
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         count = self.event_count
         try:
             while heap and heap[0][0] <= until:
@@ -202,27 +208,31 @@ class Link:
         seg = backlog.popleft()
         eq = self.eq
         now = eq.now
-        self._depart(seg, now + self.prop_delay_s)
+        eq.schedule_at(now + self.prop_delay_s, ARRIVAL, partial(self.deliver, seg))
         if backlog:
             eq.schedule_at(now + backlog[0].wire_bytes * 8.0 / self.rate_bps,
                            LINK_DONE, self._finish_service)
 
-    def _depart(self, seg: Segment, arrive: float) -> None:
-        self.eq.schedule_at(arrive, ARRIVAL, functools.partial(self.deliver, seg))
-
 
 class Bottleneck(Link):
-    """The guarded router queue: a Link that judges and tallies.
+    """The guarded router queue: judges, tallies, departs and delivers.
 
     Every arrival takes exactly one uniform draw, whatever the verdict,
     so the random stream depends only on the arrival order.  A packet
     that finds q packets in the backlog (the only copy of the queue
     length) is judged by judge(q, packet_len, u) -> (verdict, p_b, p_a),
-    as red.decide returns, and tallied by group with its verdict.  A
-    departure is tallied and goes to deliver(seg, arrive) at once with
-    its far-end time, so the far end has no event.  A simulator builds
-    it with deliver None and connects its far end only inside run(),
-    because that callback is an edge of the simulator's reference ring.
+    as red.decide returns, and tallied by group with its verdict.
+
+    The far end has no event.  A departure is tallied and goes straight
+    to its flow's receive clock, the receive access link's next idle
+    time: with arrive = now + prop_delay_s, the clock moves to
+    max(arrive, clock) + wire_bytes * 8.0 / recv_rate_bps, and deliver(seg)
+    runs as the ARRIVAL event recv_delay_s after that.  That gives the
+    bytes of a far-end arrival event, because one server departs packets
+    one at a time, so each flow's far-end times reach its clock in
+    departure order, with the same operands.  A simulator builds it with
+    deliver None and connects it only inside run(), because that callback
+    is an edge of the simulator's reference ring.
     """
 
     def __init__(
@@ -230,38 +240,64 @@ class Bottleneck(Link):
         eq: EventQueue,
         rate_bps: float,
         prop_delay_s: float,
-        deliver: Callable[[Segment, float], None] | None,
+        deliver: Callable[[Segment], None] | None,
         judge: Callable[[int, int, float], tuple[Verdict, float, float]],
         rng: random.Random,
         group_of: Callable[[int], int],
         n_groups: int,
+        recv_rate_bps: float,
+        recv_delay_s: float,
+        n_flows: int,
     ):
         super().__init__(eq, rate_bps, prop_delay_s, deliver)
         self.judge = judge
         self.rng = rng
         self.group_of = group_of
         self.counters = QueueCounters(n_groups)
+        self.recv_rate_bps = recv_rate_bps
+        self.recv_delay_s = recv_delay_s
+        self.recv_free_at = [0.0] * n_flows
 
     def send(self, seg: Segment) -> None:
         c = self.counters
         g = self.group_of(seg.flow_id)
-        q = len(self.backlog)
+        backlog = self.backlog
+        q = len(backlog)
         c.arrivals[g] += 1
         verdict = self.judge(q, seg.wire_bytes, self.rng.random())[0]
-        if verdict is Verdict.ACCEPT:
+        if verdict is ACCEPT:
             c.accepted[g] += 1
-            c.max_q = max(c.max_q, q + 1)
-            Link.send(self, seg)
-        elif verdict is Verdict.RANDOM_DROP:
+            if q >= c.max_q:
+                c.max_q = q + 1
+            backlog.append(seg)
+            if not q:
+                eq = self.eq
+                eq.schedule_at(eq.now + seg.wire_bytes * 8.0 / self.rate_bps,
+                               LINK_DONE, self._finish_service)
+        elif verdict is RANDOM_DROP:
             c.drops_random[g] += 1
-        elif verdict is Verdict.FORCED_DROP_AVG:
+        elif verdict is FORCED_DROP_AVG:
             c.drops_forced_avg[g] += 1
         else:
             c.drops_buffer[g] += 1
 
-    def _depart(self, seg: Segment, arrive: float) -> None:
+    def _finish_service(self) -> None:
+        backlog = self.backlog
+        seg = backlog.popleft()
+        eq = self.eq
+        now = eq.now
         self.counters.departed += 1
-        self.deliver(seg, arrive)
+        arrive = now + self.prop_delay_s
+        clocks = self.recv_free_at
+        free = clocks[seg.flow_id]
+        if arrive >= free:
+            free = arrive
+        free += seg.wire_bytes * 8.0 / self.recv_rate_bps
+        clocks[seg.flow_id] = free
+        eq.schedule_at(free + self.recv_delay_s, ARRIVAL, partial(self.deliver, seg))
+        if backlog:
+            eq.schedule_at(now + backlog[0].wire_bytes * 8.0 / self.rate_bps,
+                           LINK_DONE, self._finish_service)
 
 
 # ---------------------------------------------------------------
@@ -364,16 +400,13 @@ class Scenario:
 # ---------------------------------------------------------------
 
 class _Flow:
-    # recv_free_at: when the receive access link is next idle;
     # timer_at: time of the one pending timer entry, or None.
-    __slots__ = ("sender", "receiver", "access_link", "recv_free_at",
-                 "timer_at")
+    __slots__ = ("sender", "receiver", "access_link", "timer_at")
 
     def __init__(self, sender: TcpSender, receiver: TcpReceiver):
         self.sender = sender
         self.receiver = receiver
         self.access_link: Link | None = None
-        self.recv_free_at = 0.0
         self.timer_at: float | None = None
 
 
@@ -382,16 +415,18 @@ class DumbbellSim:
 
     judge(q, packet_len, u) -> (verdict, p_b, p_a) overrides the
     bottleneck's verdict rule, by default red.decide with the scenario's
-    gatekeeper bound.  The bottleneck's far end has no event, and the
-    bytes are those a far-end event gives: one server departs packets
-    one at a time, so each flow's far-end times reach its receive clock
-    in departure order, with the same operands.
+    gatekeeper bound.  A sender's burst joins its access link's backlog
+    in one step, and a link that was idle starts serving its head, which
+    is the schedule one Link.send per segment gives.  A departure from
+    the bottleneck goes straight to its flow's receive clock inside
+    Bottleneck, which schedules the receiver event; the scenario
+    constants the receiver and ACK paths read are bound once here.
 
-    The far end is connected only while run() dispatches events, and
-    run() drops the events still pending past the horizon when it
-    returns or raises; run() refuses a second call, so none of them
-    could fire.  Outside run() the simulator holds no reference cycle,
-    so it is freed as soon as it is dropped.
+    The bottleneck's far end is connected only while run() dispatches
+    events, and run() drops the events still pending past the horizon
+    when it returns or raises; run() refuses a second call, so none of
+    them could fire.  Outside run() the simulator holds no reference
+    cycle, so it is freed as soon as it is dropped.
     """
 
     def __init__(self, scenario: Scenario, judge=None):
@@ -414,18 +449,22 @@ class DumbbellSim:
         if judge is None:
             # Scenario bounds every mtu by max_packet_size: a valid length.
             # The state's q is unused: the bottleneck's backlog owns it.
-            judge = functools.partial(decide, RedState(), scenario.red,
-                                      VARIANT_EXPONENTS[scenario.red_variant])
+            judge = partial(decide, RedState(), scenario.red,
+                            VARIANT_EXPONENTS[scenario.red_variant])
         # Return-queue departure times (the length is the occupancy).
         self._ack_departures: deque[float] = deque()
         self.reverse_arrivals = 0
         self.reverse_drops = 0
+        self._access_delay_s = scenario.access_delay_s
+        self._bottleneck_rate_bps = scenario.bottleneck_rate_bps
+        self._bottleneck_delay_s = scenario.bottleneck_delay_s
+        self._ack_buffer_cap = scenario.red.buffer_cap
 
         eq = self.eq
         self.bottleneck_link = Bottleneck(
             eq, scenario.bottleneck_rate_bps, scenario.bottleneck_delay_s,
-            None, judge, self.rng, self.group_of,
-            len(scenario.groups),
+            None, judge, self.rng, self.group_of, len(scenario.groups),
+            scenario.access_rate_bps, scenario.access_delay_s, len(self.flows),
         )
         for flow in self.flows:
             flow.access_link = Link(
@@ -436,55 +475,48 @@ class DumbbellSim:
     # -------------------- wiring callbacks --------------------
 
     def _transmit(self, flow: _Flow, segments: list[Segment]) -> None:
+        if segments:
+            link = flow.access_link
+            backlog = link.backlog
+            idle = not backlog
+            backlog.extend(segments)
+            if idle:
+                eq = self.eq
+                eq.schedule_at(eq.now + segments[0].wire_bytes * 8.0 / link.rate_bps,
+                               LINK_DONE, link._finish_service)
         # Then push a timer entry if the sender's deadline moved earlier
         # than the pending one; a later deadline is re-pushed on expiry.
-        send = flow.access_link.send
-        for seg in segments:
-            send(seg)
         deadline = flow.sender.rto_deadline
         if deadline is not None and (flow.timer_at is None or deadline < flow.timer_at):
             flow.timer_at = deadline
-            self.eq.schedule_at(deadline, TIMER, functools.partial(self._on_timer, flow))
-
-    def _deliver_to_receiver_side(self, seg: Segment, arrive: float) -> None:
-        # Runs at the bottleneck departure; arrive is the far-end time.
-        # Same float operations, in the same order, as a Link's service.
-        sc = self.scenario
-        flow = self.flows[seg.flow_id]
-        flow.recv_free_at = (max(arrive, flow.recv_free_at)
-                             + seg.wire_bytes * 8.0 / sc.access_rate_bps)
-        self.eq.schedule_at(
-            flow.recv_free_at + sc.access_delay_s, ARRIVAL,
-            functools.partial(self._data_reaches_receiver, seg),
-        )
+            self.eq.schedule_at(deadline, TIMER, partial(self._on_timer, flow))
 
     def _data_reaches_receiver(self, seg: Segment) -> None:
         # The ACK reaches the return queue one access delay from now, in
         # receiver-event order, so it is judged here after every departure
         # up to that instant, with a Link's float operations in its order.
-        sc = self.scenario
-        flow = self.flows[seg.flow_id]
-        ack = flow.receiver.on_data(seg, self.eq.now)
-        arrive = self.eq.now + sc.access_delay_s
+        eq = self.eq
+        now = eq.now
+        ack = self.flows[seg.flow_id].receiver.on_data(seg, now)
+        arrive = now + self._access_delay_s
         departures = self._ack_departures
         while departures and departures[0] <= arrive:
             departures.popleft()
         self.reverse_arrivals += 1
-        if len(departures) >= sc.red.buffer_cap:
+        if len(departures) >= self._ack_buffer_cap:
             self.reverse_drops += 1
             return
         start = departures[-1] if departures else arrive
-        done = start + ack.wire_bytes * 8.0 / sc.bottleneck_rate_bps
+        done = start + ack.wire_bytes * 8.0 / self._bottleneck_rate_bps
         departures.append(done)
-        self.eq.schedule_at(
-            (done + sc.bottleneck_delay_s) + sc.access_delay_s,
-            ARRIVAL, functools.partial(self._ack_reaches_sender, ack),
+        eq.schedule_at(
+            (done + self._bottleneck_delay_s) + self._access_delay_s,
+            ARRIVAL, partial(self._ack_reaches_sender, ack),
         )
 
-    def _ack_reaches_sender(self, seg: Segment) -> None:
-        flow = self.flows[seg.flow_id]
-        out = flow.sender.on_ack(seg, self.eq.now)
-        self._transmit(flow, out)
+    def _ack_reaches_sender(self, ack: Segment) -> None:
+        flow = self.flows[ack.flow_id]
+        self._transmit(flow, flow.sender.on_ack(ack, self.eq.now))
 
     # -------------------- timers --------------------
 
@@ -507,6 +539,7 @@ class DumbbellSim:
     def _take_warmup_marks(self) -> None:
         self._warmup_counters = self.bottleneck_link.counters.copy()
         self._warmup_delivered = [f.receiver.delivered_bytes for f in self.flows]
+        self._warmup_health = [_health(f.sender) for f in self.flows]
 
     def run(self) -> metrics.RunReport:
         if self._finished:
@@ -515,7 +548,7 @@ class DumbbellSim:
         sc = self.scenario
         for flow, start in zip(self.flows, self.start_times):
             self.eq.schedule_at(
-                start, EventKind.FLOW_START, functools.partial(self._start_flow, flow)
+                start, EventKind.FLOW_START, partial(self._start_flow, flow)
             )
         # warmup_s < duration_s, so this always fires before the run ends.
         self.eq.schedule_at(
@@ -523,7 +556,7 @@ class DumbbellSim:
         )
         # The far-end callback and the pending events are the only edges
         # back to self, so both live only while events are dispatched.
-        self.bottleneck_link.deliver = self._deliver_to_receiver_side
+        self.bottleneck_link.deliver = self._data_reaches_receiver
         try:
             drained = self.eq.run(sc.duration_s)
         finally:
@@ -537,6 +570,10 @@ class DumbbellSim:
                 f.receiver.delivered_bytes - base
                 for f, base in zip(self.flows, self._warmup_delivered)
             ],
+            health_delta=[
+                tuple(now - base for now, base in zip(_health(f.sender), mark))
+                for f, mark in zip(self.flows, self._warmup_health)
+            ],
             window=counters - self._warmup_counters,
             whole_run=counters,
             reverse_arrivals=self.reverse_arrivals,
@@ -545,6 +582,11 @@ class DumbbellSim:
             event_count=self.eq.event_count,
             drained=drained,
         )
+
+
+def _health(sender: TcpSender) -> tuple[int, int, int]:
+    """A sender's (timeouts, fast_retransmits, retransmits) counters."""
+    return sender.timeouts, sender.fast_retransmits, sender.retransmits
 
 
 def run_scenario(scenario: Scenario, judge=None) -> metrics.RunReport:

@@ -9,6 +9,10 @@ departed or still sits in the queue.  Arrivals, accepts, drops and
 departures are each counted where they happen, so either identity can
 fail when the queue loses track of a packet.
 
+Each group's timeouts, fast_retransmits and retransmits are the sums of
+its senders' counters over the same window, from marks taken at warmup;
+they are read only when the report is built and do not reach the CSV.
+
 RunReport.reverse_arrivals and reverse_drops tally the acknowledgment
 queue over the whole run, in the receiver event one access delay before
 each ACK reaches it, so ACKs due there less than one access delay after
@@ -31,6 +35,9 @@ class GroupStats:
     drops_random: int
     drops_forced_avg: int
     drops_buffer: int
+    timeouts: int
+    fast_retransmits: int
+    retransmits: int
 
     @property
     def drops_total(self) -> int:
@@ -112,6 +119,7 @@ def build_run_report(
     scenario,
     group_of,
     delivered_delta: list[int],
+    health_delta: list[tuple[int, int, int]],
     window,
     whole_run,
     reverse_arrivals: int,
@@ -125,15 +133,19 @@ def build_run_report(
     window holds the bottleneck tallies of the measurement window (final
     counters minus the warmup copy), whole_run the final ones, reverse_*
     the acknowledgment-direction queue's tallies; delivered_delta is the
-    per-flow unique payload delivered in the window, and drained tells
+    per-flow unique payload delivered in the window, health_delta each
+    flow's (timeouts, fast_retransmits, retransmits) in it, and drained tells
     whether the event queue ran dry before the configured duration.
     A run with flows is stalled if it drained or if no packet ever
     reached the bottleneck.
     """
     interval_s = scenario.duration_s - scenario.warmup_s
     group_delivered = [0] * len(scenario.groups)
-    for idx, delta in enumerate(delivered_delta):
-        group_delivered[group_of(idx)] += delta
+    group_health = [[0, 0, 0] for _ in scenario.groups]
+    for idx, (delta, health) in enumerate(zip(delivered_delta, health_delta)):
+        g_idx = group_of(idx)
+        group_delivered[g_idx] += delta
+        group_health[g_idx] = [x + y for x, y in zip(group_health[g_idx], health)]
 
     diagnostics = []
     if delivered_delta and drained:
@@ -165,6 +177,9 @@ def build_run_report(
                 drops_random=d_rand,
                 drops_forced_avg=d_avg,
                 drops_buffer=d_buf,
+                timeouts=group_health[g_idx][0],
+                fast_retransmits=group_health[g_idx][1],
+                retransmits=group_health[g_idx][2],
             )
         )
 

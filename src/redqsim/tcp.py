@@ -41,6 +41,11 @@ class TcpVariant(enum.Enum):
         return self.value
 
 
+# Bound once: reading a member off an Enum class is an attribute lookup
+# through its metaclass, slow enough to show on a per-flow path.
+_SACK = TcpVariant.SACK
+
+
 class Segment:
     """One wire unit: payload bytes plus a fixed 40-byte header.
 
@@ -109,14 +114,26 @@ class TcpSender:
     reads rto_deadline, and while that is set it calls on_timeout with
     the clock at exactly rto_deadline (None means no timer is running).
     Any entry point may move the deadline earlier or later.
+
+    The segment size, the receiver window as a float and the recovery
+    flavor are read from the config once, at construction.
     """
+
+    __slots__ = ("flow_id", "config", "_mss", "_rcv_wnd", "_sack", "cwnd",
+                 "ssthresh", "snd_una", "snd_nxt", "max_sent", "dupacks",
+                 "in_recovery", "recovery_point", "srtt", "rttvar", "rto",
+                 "backoff", "rto_deadline", "_timing", "sack_scoreboard",
+                 "_retx_ranges", "segments_sent", "retransmits",
+                 "fast_retransmits", "timeouts", "started")
 
     def __init__(self, flow_id: int, config: TcpConfig):
         self.flow_id = flow_id
         self.config = config
-        mss = config.mss
+        mss = self._mss = config.mss
+        self._rcv_wnd = float(config.rcv_wnd)
+        self._sack = config.variant is _SACK
         self.cwnd: float = float(mss)
-        self.ssthresh: float = float(config.rcv_wnd)
+        self.ssthresh: float = self._rcv_wnd
         self.snd_una = 0
         self.snd_nxt = 0
         self.max_sent = 0
@@ -143,25 +160,17 @@ class TcpSender:
     # window bookkeeping
     # ------------------------------------------------------------
 
-    @property
-    def outstanding(self) -> int:
-        return self.snd_nxt - self.snd_una
-
-    def _window(self) -> float:
-        return min(self.cwnd, float(self.config.rcv_wnd))
-
-    def _sacked_bytes(self) -> int:
-        return sum(end - start for start, end in self.sack_scoreboard)
-
     def _pipe(self) -> float:
         # Bytes believed in flight: outstanding, minus what the peer
         # already holds, plus hole retransmissions not yet covered.
-        retx = sum(
-            end - max(start, self.snd_una)
-            for start, end in self._retx_ranges
-            if end > self.snd_una
-        )
-        return self.outstanding - self._sacked_bytes() + retx
+        una = self.snd_una
+        pipe = self.snd_nxt - una
+        for start, end in self.sack_scoreboard:
+            pipe -= end - start
+        for start, end in self._retx_ranges:
+            if end > una:
+                pipe += end - (start if start > una else una)
+        return pipe
 
     def effective_rto(self) -> float:
         return min(self.rto * self.backoff, MAX_RTO_S)
@@ -169,9 +178,6 @@ class TcpSender:
     # ------------------------------------------------------------
     # timer and timing samples
     # ------------------------------------------------------------
-
-    def _arm_timer(self, now: float) -> None:
-        self.rto_deadline = now + self.effective_rto()
 
     def _rto_update(self, sample: float) -> None:
         if self.srtt is None:
@@ -187,15 +193,6 @@ class TcpSender:
         ticks = max(self.config.min_rto_ticks, math.ceil(raw / g - 1e-9))
         self.rto = ticks * g
 
-    def _take_sample(self, ack_no: int, now: float) -> None:
-        if self._timing is None:
-            return
-        _seq, end, sent_at = self._timing
-        if ack_no >= end:
-            self._rto_update(now - sent_at)
-            self.backoff = 1
-            self._timing = None
-
     def _invalidate_sample_if_hit(self, start: int, end: int) -> None:
         # A retransmission overlapping the timed segment poisons the
         # sample: the eventual acknowledgment would be ambiguous.
@@ -210,19 +207,39 @@ class TcpSender:
     # ------------------------------------------------------------
 
     def _make_segment(self, seq: int, length: int, now: float) -> Segment:
+        # New data is timed when no other segment is.
         if seq >= self.max_sent and self._timing is None:
             self._timing = (seq, seq + length, now)
         self.max_sent = max(self.max_sent, seq + length)
         self.segments_sent += 1
-        return Segment(self.flow_id, seq=seq, payload=length)
+        return Segment(self.flow_id, seq, length)
 
     def _fill_window(self, now: float) -> list[Segment]:
-        mss = self.config.mss
-        window = self._window()
+        # _make_segment's rule for a whole burst, kept in locals: segment
+        # k starts at snd_nxt + k*mss, and max_sent before it is the
+        # larger of the old max_sent and its start, so it is timed iff it
+        # starts at or past the old max_sent and nothing is timed yet.
+        mss = self._mss
+        una = self.snd_una
+        seq = self.snd_nxt
+        cwnd = self.cwnd
+        window = self._rcv_wnd if self._rcv_wnd < cwnd else cwnd
+        if seq - una + mss > window:
+            return []
+        flow_id = self.flow_id
+        max_sent = self.max_sent
+        timed = self._timing is not None
         out = []
-        while self.outstanding + mss <= window:
-            out.append(self._make_segment(self.snd_nxt, mss, now))
-            self.snd_nxt += mss
+        while seq - una + mss <= window:
+            if not timed and seq >= max_sent:
+                self._timing = (seq, seq + mss, now)
+                timed = True
+            out.append(Segment(flow_id, seq, mss))
+            seq += mss
+        self.snd_nxt = seq
+        if seq > max_sent:
+            self.max_sent = seq
+        self.segments_sent += len(out)
         return out
 
     def _next_hole(self) -> int | None:
@@ -243,24 +260,25 @@ class TcpSender:
         return None
 
     def _retransmit(self, seq: int, now: float) -> Segment:
-        length = min(self.config.mss, self.recovery_point - seq)
+        length = min(self._mss, self.recovery_point - seq)
         self._invalidate_sample_if_hit(seq, seq + length)
         self._retx_ranges.append((seq, seq + length))
         self._retx_ranges = _merge_ranges(self._retx_ranges)
         self.retransmits += 1
         self.segments_sent += 1
-        return Segment(self.flow_id, seq=seq, payload=length)
+        return Segment(self.flow_id, seq, length)
 
     def _emit_recovery(self, now: float) -> list[Segment]:
         # Selective recovery: refill holes first, then new data, while
         # the estimated in-flight volume stays under the window.
-        mss = self.config.mss
+        mss = self._mss
+        window = min(self.cwnd, self._rcv_wnd)
         out = []
-        while self._pipe() + mss <= self._window():
+        while self._pipe() + mss <= window:
             hole = self._next_hole()
             if hole is not None:
                 out.append(self._retransmit(hole, now))
-            elif self.outstanding + mss <= self.config.rcv_wnd:
+            elif self.snd_nxt - self.snd_una + mss <= self.config.rcv_wnd:
                 out.append(self._make_segment(self.snd_nxt, mss, now))
                 self.snd_nxt += mss
             else:
@@ -277,28 +295,33 @@ class TcpSender:
         self.started = True
         out = self._fill_window(now)
         if out:
-            self._arm_timer(now)
+            self.rto_deadline = now + self.effective_rto()
         return out
 
     def on_ack(self, seg: Segment, now: float) -> list[Segment]:
         if not seg.is_ack:
             raise ValueError("sender expects acknowledgment segments")
-        if self.config.variant is TcpVariant.SACK and seg.sack_blocks:
+        if self._sack and seg.sack_blocks:
             usable = [
                 (max(s, self.snd_una), e)
                 for s, e in seg.sack_blocks
                 if e > self.snd_una
             ]
             self.sack_scoreboard = _merge_ranges(self.sack_scoreboard + usable)
-        if seg.ack_no > self.snd_una:
-            return self._on_new_ack(seg.ack_no, now)
-        if seg.ack_no == self.snd_una and self.outstanding > 0:
+        ack_no = seg.ack_no
+        una = self.snd_una
+        if ack_no > una:
+            return self._on_new_ack(ack_no, now)
+        if ack_no == una and self.snd_nxt > una:
             return self._on_duplicate_ack(now)
         return []
 
     def _on_new_ack(self, ack_no: int, now: float) -> list[Segment]:
-        mss = self.config.mss
-        self._take_sample(ack_no, now)
+        timing = self._timing
+        if timing is not None and ack_no >= timing[1]:
+            self._rto_update(now - timing[2])
+            self.backoff = 1
+            self._timing = None
         self.snd_una = ack_no
         if self.snd_nxt < ack_no:
             # The peer held buffered data past a rewound frontier; jump
@@ -310,33 +333,36 @@ class TcpSender:
             ]
         if self.in_recovery:
             # Plain recovery ends on any advance, selective at the frontier.
-            if (self.config.variant is TcpVariant.RENO
-                    or ack_no >= self.recovery_point):
+            if not self._sack or ack_no >= self.recovery_point:
                 self.cwnd = self.ssthresh
                 self.in_recovery = False
                 self.dupacks = 0
                 self._retx_ranges = []  # always empty under plain recovery
         else:
             self.dupacks = 0
-            if self.cwnd < self.ssthresh:
-                self.cwnd += mss
+            mss = self._mss
+            cwnd = self.cwnd
+            if cwnd < self.ssthresh:
+                self.cwnd = cwnd + mss
             else:
-                self.cwnd += mss * mss / self.cwnd
+                self.cwnd = cwnd + mss * mss / cwnd
         if self.in_recovery:
             out = self._emit_recovery(now)
         else:
             out = self._fill_window(now)
-        if self.outstanding > 0:
-            self._arm_timer(now)
+        if self.snd_nxt > ack_no:
+            # effective_rto(), spelled out on the per-ACK path.
+            rto = self.rto * self.backoff
+            self.rto_deadline = now + (rto if rto < MAX_RTO_S else MAX_RTO_S)
         else:
             self.rto_deadline = None
         return out
 
     def _on_duplicate_ack(self, now: float) -> list[Segment]:
-        mss = self.config.mss
+        mss = self._mss
         self.dupacks += 1
         if self.in_recovery:
-            if self.config.variant is TcpVariant.RENO:
+            if not self._sack:
                 self.cwnd += mss  # inflate per extra duplicate
                 return self._fill_window(now)
             return self._emit_recovery(now)
@@ -348,20 +374,20 @@ class TcpSender:
         self.recovery_point = self.snd_nxt
         self.fast_retransmits += 1
         out = [self._retransmit(self.snd_una, now)]
-        if self.config.variant is TcpVariant.RENO:
+        if not self._sack:
             self.cwnd = self.ssthresh + 3.0 * mss
             self._retx_ranges = []  # plain recovery does not track refills
         else:
             self.cwnd = self.ssthresh
             out.extend(self._emit_recovery(now))
-        self._arm_timer(now)
+        self.rto_deadline = now + self.effective_rto()
         return out
 
     def on_timeout(self, now: float) -> list[Segment]:
-        if self.outstanding == 0:
+        if self.snd_nxt == self.snd_una:
             self.rto_deadline = None
             return []
-        mss = self.config.mss
+        mss = self._mss
         self.timeouts += 1
         self.ssthresh = max(self.cwnd / 2.0, 2.0 * mss)
         self.cwnd = float(mss)
@@ -375,10 +401,10 @@ class TcpSender:
         # drops duplicates of anything it already buffered.
         self.snd_nxt = self.snd_una
         self.retransmits += 1
-        seg = Segment(self.flow_id, seq=self.snd_nxt, payload=mss)
+        seg = Segment(self.flow_id, self.snd_nxt, mss)
         self.segments_sent += 1
         self.snd_nxt += mss
-        self._arm_timer(now)
+        self.rto_deadline = now + self.effective_rto()
         return [seg]
 
 
@@ -389,9 +415,13 @@ class TcpReceiver:
     in-order frontier first covers it.
     """
 
+    __slots__ = ("flow_id", "config", "_sack", "rcv_nxt", "delivered_bytes",
+                 "duplicates", "_ooo", "_recent")
+
     def __init__(self, flow_id: int, config: TcpConfig):
         self.flow_id = flow_id
         self.config = config
+        self._sack = config.variant is _SACK
         self.rcv_nxt = 0
         self.delivered_bytes = 0
         self.duplicates = 0
@@ -419,7 +449,7 @@ class TcpReceiver:
             # In order with nothing buffered, so nothing to report either.
             self.delivered_bytes += end - self.rcv_nxt
             self.rcv_nxt = end
-            return Segment(self.flow_id, is_ack=True, ack_no=end)
+            return Segment(self.flow_id, 0, 0, True, end)
         if end <= self.rcv_nxt:
             self.duplicates += 1
         elif start <= self.rcv_nxt:
@@ -433,16 +463,21 @@ class TcpReceiver:
             self._ooo = keep
             self.delivered_bytes += frontier - self.rcv_nxt
             self.rcv_nxt = frontier
-            self._recent = [b for b in self._recent if b in self._ooo]
+            if self._recent:
+                self._recent = [b for b in self._recent if b in self._ooo]
         else:
-            before = list(self._ooo)
-            self._ooo = _merge_ranges(self._ooo + [(start, end)])
-            if self._ooo == before:
-                self.duplicates += 1
-            self._touch_block(start, end)
+            ooo = self._ooo
+            if ooo and ooo[-1][1] == start < end:
+                # Extends the highest block, which is all the merge does.
+                ooo[-1] = (ooo[-1][0], end)
+            else:
+                before = list(ooo)
+                self._ooo = _merge_ranges(ooo + [(start, end)])
+                if self._ooo == before:
+                    self.duplicates += 1
+            if self._sack:
+                self._touch_block(start, end)  # only the gap report reads it
         blocks: tuple[tuple[int, int], ...] = ()
-        if self.config.variant is TcpVariant.SACK:
+        if self._sack:
             blocks = tuple(self._recent[:MAX_SACK_BLOCKS])
-        return Segment(
-            self.flow_id, is_ack=True, ack_no=self.rcv_nxt, sack_blocks=blocks
-        )
+        return Segment(self.flow_id, 0, 0, True, self.rcv_nxt, blocks)

@@ -1,6 +1,7 @@
 """Tests for the discrete-event core and the dumbbell simulation."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import math
@@ -18,6 +19,7 @@ from redqsim.engine import (
     DumbbellSim,
     EventQueue,
     FlowGroup,
+    Link,
     Scenario,
     run_scenario,
 )
@@ -181,6 +183,53 @@ class TestTopology:
                     + 1540 * 8 / 30e6 + 40 * 8 / 30e6 + 2 * d + 4 * a)
         assert abs(ack_times[0] - expected) <= 1e-12
 
+    def test_receive_clock_queues_back_to_back_departures(self):
+        # A receive access link slower than the bottleneck: the second
+        # packet of a flow waits for the first to finish serializing, and
+        # a packet of another flow does not.  Each delivery time is the
+        # receive clock plus the access delay.
+        eq = EventQueue()
+        rate, prop, recv_rate, recv_delay = 30e6, 0.002, 1e6, 0.0005
+        got = {}
+        link = Bottleneck(eq, rate, prop, lambda seg: got.setdefault(seg.seq, eq.now),
+                          bernoulli_judge(0.0, 10), random.Random(1), lambda _f: 0, 1,
+                          recv_rate, recv_delay, 2)
+        for seq, flow_id in ((0, 0), (1, 0), (2, 1)):
+            link.send(Segment(flow_id, seq=seq, payload=1460))
+        eq.run(until=1.0)
+        tx, recv_tx = 1500 * 8.0 / rate, 1500 * 8.0 / recv_rate
+        clock_0 = tx + prop + recv_tx
+        clock_1 = tx + tx + tx + prop + recv_tx
+        assert got == {0: clock_0 + recv_delay, 1: clock_0 + recv_tx + recv_delay,
+                       2: clock_1 + recv_delay}
+        assert link.recv_free_at == [clock_0 + recv_tx, clock_1]
+        assert link.counters.departed == 3
+
+    def test_burst_joins_the_access_link_as_per_segment_sends(self):
+        # Two bursts onto one access link, the second while it is busy,
+        # leave the same single service event and the same departures as
+        # one Link.send per segment.
+        sc = make_scenario(groups=(FlowGroup("solo", 1, 1500),))
+        segs = [Segment(0, seq=k * 1460, payload=1460) for k in range(3)]
+        sim = DumbbellSim(sc)
+        flow = sim.flows[0]
+        sim._transmit(flow, segs[:2])
+        sim._transmit(flow, segs[2:])
+        assert len(sim.eq._heap) == 1
+        assert list(flow.access_link.backlog) == segs
+
+        def departures(eq, link):
+            times = []
+            link.deliver = lambda seg: times.append((seg.seq, eq.now))
+            eq.run(until=1.0)
+            return times
+
+        ref_eq = EventQueue()
+        ref = Link(ref_eq, sc.access_rate_bps, sc.access_delay_s, None)
+        for seg in segs:
+            ref.send(seg)
+        assert departures(sim.eq, flow.access_link) == departures(ref_eq, ref)
+
     def test_ack_queue_departure_leaves_before_a_same_time_arrival(self):
         # A one-ACK return queue with no access delay: the first ACK
         # departs at `done`; an ACK just before then finds the queue full,
@@ -248,8 +297,9 @@ class TestConservation:
         # The backlog is the only copy of the queue length: a burst into a
         # cap-3 queue is judged at q = 0, 1, 2, 3, 3 and leaves 3 queued.
         eq = EventQueue()
-        link = Bottleneck(eq, 1e6, 0.0, lambda _seg, _arrive: None,
-                          bernoulli_judge(0.0, 3), random.Random(1), lambda _f: 0, 1)
+        link = Bottleneck(eq, 1e6, 0.0, lambda _seg: None,
+                          bernoulli_judge(0.0, 3), random.Random(1), lambda _f: 0, 1,
+                          100e6, 0.0, 1)
         for _ in range(5):
             link.send(Segment(0, seq=0, payload=1460))
         c = link.counters
@@ -314,6 +364,35 @@ class TestBehavior:
         assert all(f.sender.rto_deadline is None
                    or f.sender.rto_deadline > sc.duration_s
                    for f in sim.flows)
+
+    def test_group_tcp_health_sums_sender_counters_over_the_window(self, monkeypatch):
+        # Each group's timeouts, fast retransmits and retransmits are its
+        # senders' counters at the end minus their values at warmup.
+        names = ("timeouts", "fast_retransmits", "retransmits")
+        marks = []
+        take = DumbbellSim._take_warmup_marks
+
+        def recording_take(sim):
+            marks.extend([getattr(f.sender, n) for n in names] for f in sim.flows)
+            take(sim)
+
+        monkeypatch.setattr(DumbbellSim, "_take_warmup_marks", recording_take)
+        sim = DumbbellSim(make_scenario(duration_s=6.0, warmup_s=2.0),
+                          judge=bernoulli_judge(0.05, 200))
+        report = sim.run()
+        want = [[0, 0, 0] for _ in report.groups]
+        for idx, (flow, mark) in enumerate(zip(sim.flows, marks)):
+            for k, name in enumerate(names):
+                want[sim.group_of(idx)][k] += getattr(flow.sender, name) - mark[k]
+        got = [[getattr(g, n) for n in names] for g in report.groups]
+        assert got == want
+        assert all(g.timeouts > 0 and g.fast_retransmits > 0 for g in report.groups)
+        assert any(m != [0, 0, 0] for m in marks)
+        # The CSV does not read them.
+        blank = dataclasses.replace(report, groups=tuple(
+            dataclasses.replace(g, timeouts=0, fast_retransmits=0, retransmits=0)
+            for g in report.groups))
+        assert report_rows(blank) == report_rows(report)
 
     def test_stalled_run_is_reported(self, monkeypatch):
         # A sender that never emits anything drains the event queue early;

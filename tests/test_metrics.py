@@ -46,7 +46,7 @@ class TestContainers:
         g = GroupStats(
             name="large", mtu=1500, flow_count=20, goodput_bps=1e6,
             plr=0.05, arrivals=1000, drops_random=30, drops_forced_avg=15,
-            drops_buffer=5,
+            drops_buffer=5, timeouts=2, fast_retransmits=9, retransmits=11,
         )
         assert g.drops_total == 50
 

@@ -28,6 +28,7 @@ import pytest
 import test_droplaw
 import test_engine
 import test_red
+import test_sender_model
 import test_tcp
 from redqsim import droplaw, engine, red, tcp
 from redqsim.red import RedParams, RedVariant
@@ -78,11 +79,35 @@ def endpoint_invariants(*examples):
     return check
 
 
+def sender_model(*examples):
+    """The batched sender against its reference model at fixed (variant,
+    window, loss, reorder, seed) examples."""
+    inner = test_sender_model.test_batched_sender_matches_the_reference_sender
+    inner = inner.hypothesis.inner_test
+
+    def check(_monkeypatch):
+        for variant, wnd, loss, reorder, seed in examples:
+            inner(variant=variant, wnd_segments=wnd, loss=loss, reorder=reorder,
+                  seed=seed)
+
+    return check
+
+
+def decide_formulas(_monkeypatch):
+    """decide's written-out average and p_b at one fixed queue stream."""
+    inner = test_red.TestDecideCore.test_core_average_and_pb_are_update_avg_and_compute_pb
+    inner.hypothesis.inner_test(test_red.TestDecideCore(), w_q=0.3, max_p=0.5,
+                                stream=[(q, 0.5) for q in (3, 5, 7, 4, 2, 6, 9)])
+
+
 RENO, SACK = TcpVariant.RENO, TcpVariant.SACK
 # Examples of the invariant property that kill a mutant below.
 FLOOR_EXAMPLE = (RENO, 3, 0.1, 0.0, 1)
 SCOREBOARD_EXAMPLE = (SACK, 4, 0.02, 0.0, 21)
 REWIND_EXAMPLE = (RENO, 3, 0.1, 0.2, 0)
+# Examples of the sender model property that kill a mutant below.
+TIMING_EXAMPLE = (RENO, 16, 0.0, 0.0, 1)
+RESEND_EXAMPLE = (SACK, 16, 0.1, 0.2, 1)
 
 MUTANTS = [
     Mutant("row_step without the count reset", red, "row_step",
@@ -107,6 +132,12 @@ MUTANTS = [
            "den = math.nextafter(1.0 - count * powers[row[1]] * p_b, 0.0)\n",
            lambda _mp: test_droplaw.TestMechanicsLaw()
            .test_equals_enumeration_bit_for_bit(RedVariant.RED_3)),
+    Mutant("average without the old average's weight", red, "decide",
+           "(1.0 - w_q) * state.avg + w_q * q", "state.avg + w_q * q",
+           decide_formulas),
+    Mutant("p_b measured from 0, not from min_th", red, "decide",
+           "params.max_p * (avg - min_th)", "params.max_p * avg",
+           decide_formulas),
     Mutant("buffer-full drop only above buffer_cap", red, "decide",
            "if q >= params.buffer_cap:", "if q > params.buffer_cap:",
            lambda _mp: test_red.TestOnPacketArrival()
@@ -129,9 +160,9 @@ MUTANTS = [
            "if flow.sender.rto_deadline is not None:",
            lambda mp: test_engine.TestBehavior()
            .test_timeouts_fire_at_the_deadline_and_none_is_skipped(mp)),
-    Mutant("receive access serialization dropped", engine.DumbbellSim,
-           "_deliver_to_receiver_side",
-           "+ seg.wire_bytes * 8.0 / sc.access_rate_bps)", "+ 0.0)",
+    Mutant("receive access serialization dropped", engine.Bottleneck,
+           "_finish_service",
+           "free += seg.wire_bytes * 8.0 / self.recv_rate_bps\n", "free += 0.0\n",
            lambda mp: test_engine.TestTopology()
            .test_lone_flow_first_ack_crosses_every_hop_once(mp)),
     Mutant("leaky admission, random drops untallied", engine.Bottleneck,
@@ -139,17 +170,17 @@ MUTANTS = [
            lambda _mp: test_engine.TestConservation()
            .test_bottleneck_audit_conserves_packets(RedVariant.RED_1)),
     Mutant("bottleneck departure untallied", engine.Bottleneck,
-           "_depart", "self.counters.departed += 1\n", "pass\n",
+           "_finish_service", "self.counters.departed += 1\n", "pass\n",
            lambda _mp: test_engine.TestConservation()
            .test_bottleneck_audit_conserves_packets(RedVariant.RED_1)),
     Mutant("bottleneck delay skipped on the way to the receive clock",
-           engine.Bottleneck, "_depart",
-           "self.deliver(seg, arrive)", "self.deliver(seg, self.eq.now)",
+           engine.Bottleneck, "_finish_service",
+           "arrive = now + self.prop_delay_s\n", "arrive = now\n",
            lambda mp: test_engine.TestTopology()
            .test_lone_flow_first_ack_crosses_every_hop_once(mp)),
     Mutant("far end connected when the simulator is built", engine.DumbbellSim,
            "__init__", "None, judge, self.rng",
-           "self._deliver_to_receiver_side, judge, self.rng",
+           "self._data_reaches_receiver, judge, self.rng",
            lambda mp: test_engine.TestNoReferenceCycles()
            .test_dropped_simulator_is_freed_at_once(test_engine.unrun_sim, mp)),
     Mutant("events pending past the horizon kept", engine.DumbbellSim,
@@ -167,6 +198,23 @@ MUTANTS = [
     Mutant("new ACK without the snd_nxt jump", tcp.TcpSender, "_on_new_ack",
            "self.snd_nxt = ack_no\n", "pass\n",
            endpoint_invariants(REWIND_EXAMPLE)),
+    Mutant("burst scheduled onto a busy access link", engine.DumbbellSim,
+           "_transmit", "if idle:", "if True:",
+           lambda _mp: test_engine.TestTopology()
+           .test_burst_joins_the_access_link_as_per_segment_sends()),
+    Mutant("receive clock ignores a busy receive link", engine.Bottleneck,
+           "_finish_service", "if arrive >= free:", "if True:",
+           lambda _mp: test_engine.TestTopology()
+           .test_receive_clock_queues_back_to_back_departures()),
+    Mutant("batched window times a segment while another is timed", tcp.TcpSender,
+           "_fill_window", "if not timed and seq >= max_sent:", "if seq >= max_sent:",
+           sender_model(TIMING_EXAMPLE)),
+    Mutant("batched window times a re-sent segment", tcp.TcpSender,
+           "_fill_window", "if not timed and seq >= max_sent:", "if not timed:",
+           sender_model(RESEND_EXAMPLE)),
+    Mutant("receiver extends the highest block across a gap", tcp.TcpReceiver,
+           "on_data", "if ooo and ooo[-1][1] == start < end:", "if ooo:",
+           lambda _mp: test_tcp.TestReceiver().test_block_report_most_recent_first_max_three()),
 ]
 
 

@@ -1,8 +1,10 @@
-"""The receiver's in-order fast path against a second model of the receiver.
+"""The receiver's fast paths against a second model of the receiver.
 
 ReferenceReceiver is TcpReceiver as it was before on_data took a fast
-path for an in-order segment with nothing buffered: every segment goes
-through the general reassembly branches.  Random streams of in-order,
+path for an in-order segment with nothing buffered and one for a
+segment that extends the highest buffered block: every segment goes
+through the general reassembly branches, and the gap-report order is
+kept for both variants.  Random streams of in-order,
 out-of-order, duplicate and overlapping segments go to both, and after
 every call the ACK fields and the receiver counters must agree.
 """
@@ -82,7 +84,7 @@ class ReferenceReceiver:
 # reference receiver's frontier, or a copy of an earlier segment.
 STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["in_order", "overlap", "ahead", "repeat"]),
+        st.sampled_from(["in_order", "overlap", "ahead", "extend", "repeat"]),
         st.integers(min_value=0, max_value=12),
         st.integers(min_value=1, max_value=3),
     ),
@@ -102,10 +104,13 @@ def test_fast_path_matches_the_reference_receiver(variant, steps):
             seg = sent[offset % len(sent)]
         else:
             # In-order segments start at the frontier; overlapping ones
-            # start below it and end above it; the rest land past a gap.
+            # start below it and end above it; extending ones start where
+            # the highest buffered block ends; the rest land past a gap.
+            ahead = ref.rcv_nxt + (offset + 1) * MSS // 2
             start = {"in_order": ref.rcv_nxt,
                      "overlap": max(0, ref.rcv_nxt - offset * MSS // 4),
-                     "ahead": ref.rcv_nxt + (offset + 1) * MSS // 2}.get(kind, 0)
+                     "ahead": ahead,
+                     "extend": ref._ooo[-1][1] if ref._ooo else ahead}.get(kind, 0)
             seg = Segment(0, seq=start, payload=length * MSS + offset)
         sent.append(seg)
         got, want = fast.on_data(seg, 0.0), ref.on_data(seg, 0.0)

@@ -283,6 +283,34 @@ class TestSackRecovery:
         assert not (set(retransmitted) & sacked)
 
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 6: after a timeout rewinds snd_nxt, blocks reported "
+        "above it enter the scoreboard and make the in-recovery pipe negative"))
+    def test_pipe_stays_non_negative_in_recovery_after_a_timeout(self, monkeypatch):
+        reads = []
+        pipe = TcpSender._pipe
+
+        def recording_pipe(sender):
+            value = pipe(sender)
+            if sender.in_recovery:
+                reads.append(value)
+            return value
+
+        monkeypatch.setattr(TcpSender, "_pipe", recording_pipe)
+        s = make_sender(TcpVariant.SACK, rcv_wnd=64 * MSS)
+        s.cwnd = 16.0 * MSS
+        assert len(s.start(0.0)) == 16
+        s.on_timeout(s.rto_deadline)
+        # The receiver holds segments 5-15 of the first flight, all above
+        # the rewound frontier, and every ACK reports them.
+        blocks = ((5 * MSS, 16 * MSS),)
+        assert s.snd_nxt == MSS and blocks[0][0] > s.snd_nxt
+        for k in range(3):
+            s.on_ack(ack(0, blocks), 2.0 + 0.01 * k)
+        assert s.in_recovery and reads
+        assert min(reads) >= 0
+
+
 # ---------------------------------------------------------------
 # timeout behavior
 # ---------------------------------------------------------------
