@@ -18,22 +18,19 @@ hangs off the second router on its own access link, so the round-trip
 floor is twice the bottleneck delay plus four access delays.  Receive
 access links are per-flow clocks; sender access links and the data
 bottleneck keep their service events, whose same-time ties with
-gatekeeper arrivals fix the event order.  A sender's burst joins its
-access link's backlog at once, and a link that was idle schedules one
-service event for its head, which is the schedule one send per segment
-gives.  The data bottleneck's far end has no event: Bottleneck owns the
-receive clocks, and a departing packet goes straight to its flow's
-clock with the time a far-end arrival event would have had, and
-Bottleneck schedules the receiver event.  That keeps the bytes, because
-one server departs packets one at a time, so each flow's far-end times
-reach its receive clock in departure order, with the same operands,
-and every receiver event keeps its time.  Each flow keeps at most one
-pending retransmission-timer entry.  The return queue is a deque of
-departure times: every ACK reaches it one access delay after its
-receiver event, in receiver-event order, so that event serves it and
-schedules only its arrival at the sender.  Tie rule: a departure at the
-instant an ACK arrives leaves first, which matters only when the queue
-is full then.
+gatekeeper arrivals fix the event order.  The data bottleneck's far
+end has no event: Bottleneck owns the receive clocks, a departing
+packet goes straight to its flow's clock with the time a far-end
+arrival event would have had, and Bottleneck schedules the receiver
+event.  That keeps the bytes, because one server departs packets one at
+a time, so each flow's far-end times reach its receive clock in
+departure order, with the same operands, and every receiver event keeps
+its time.  Each flow keeps at most one pending retransmission-timer
+entry.  The return queue is a deque of departure times: every ACK
+reaches it one access delay after its receiver event, in receiver-event
+order, so that event serves it and schedules only its arrival at the
+sender.  Tie rule: a departure at the instant an ACK arrives leaves
+first, which matters only when the queue is full then.
 
 A simulator connects the bottleneck's receiver events to itself only
 inside run(), and drops the events still pending past the horizon
@@ -47,13 +44,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
-import itertools
+import heapq
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush
 from typing import Callable
 
 from .red import VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide
@@ -100,13 +96,14 @@ class EventQueue:
     def __init__(self):
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self.event_count = 0
 
     def schedule_at(self, when: float, kind: EventKind, fn: Callable[[], None]) -> None:
         if when < self.now - 1e-12:
             raise RuntimeError("cannot schedule into the past")
-        heappush(self._heap, (when, next(self._seq), fn))
+        heapq.heappush(self._heap, (when, self._seq, fn))
+        self._seq += 1
 
     def clear(self) -> None:
         """Drop every pending event, releasing its handler."""
@@ -118,7 +115,7 @@ class EventQueue:
         Returns True if the queue drained before reaching `until`.
         """
         heap = self._heap
-        pop = heappop
+        pop = heapq.heappop
         count = self.event_count
         try:
             while heap and heap[0][0] <= until:
@@ -415,12 +412,9 @@ class DumbbellSim:
 
     judge(q, packet_len, u) -> (verdict, p_b, p_a) overrides the
     bottleneck's verdict rule, by default red.decide with the scenario's
-    gatekeeper bound.  A sender's burst joins its access link's backlog
-    in one step, and a link that was idle starts serving its head, which
-    is the schedule one Link.send per segment gives.  A departure from
-    the bottleneck goes straight to its flow's receive clock inside
-    Bottleneck, which schedules the receiver event; the scenario
-    constants the receiver and ACK paths read are bound once here.
+    gatekeeper bound.  A departure from the bottleneck goes straight to
+    its flow's receive clock inside Bottleneck, which schedules the
+    receiver event.
 
     The bottleneck's far end is connected only while run() dispatches
     events, and run() drops the events still pending past the horizon
@@ -455,10 +449,6 @@ class DumbbellSim:
         self._ack_departures: deque[float] = deque()
         self.reverse_arrivals = 0
         self.reverse_drops = 0
-        self._access_delay_s = scenario.access_delay_s
-        self._bottleneck_rate_bps = scenario.bottleneck_rate_bps
-        self._bottleneck_delay_s = scenario.bottleneck_delay_s
-        self._ack_buffer_cap = scenario.red.buffer_cap
 
         eq = self.eq
         self.bottleneck_link = Bottleneck(
@@ -475,17 +465,11 @@ class DumbbellSim:
     # -------------------- wiring callbacks --------------------
 
     def _transmit(self, flow: _Flow, segments: list[Segment]) -> None:
-        if segments:
-            link = flow.access_link
-            backlog = link.backlog
-            idle = not backlog
-            backlog.extend(segments)
-            if idle:
-                eq = self.eq
-                eq.schedule_at(eq.now + segments[0].wire_bytes * 8.0 / link.rate_bps,
-                               LINK_DONE, link._finish_service)
         # Then push a timer entry if the sender's deadline moved earlier
         # than the pending one; a later deadline is re-pushed on expiry.
+        send = flow.access_link.send
+        for seg in segments:
+            send(seg)
         deadline = flow.sender.rto_deadline
         if deadline is not None and (flow.timer_at is None or deadline < flow.timer_at):
             flow.timer_at = deadline
@@ -495,22 +479,23 @@ class DumbbellSim:
         # The ACK reaches the return queue one access delay from now, in
         # receiver-event order, so it is judged here after every departure
         # up to that instant, with a Link's float operations in its order.
+        sc = self.scenario
         eq = self.eq
         now = eq.now
         ack = self.flows[seg.flow_id].receiver.on_data(seg, now)
-        arrive = now + self._access_delay_s
+        arrive = now + sc.access_delay_s
         departures = self._ack_departures
         while departures and departures[0] <= arrive:
             departures.popleft()
         self.reverse_arrivals += 1
-        if len(departures) >= self._ack_buffer_cap:
+        if len(departures) >= sc.red.buffer_cap:
             self.reverse_drops += 1
             return
         start = departures[-1] if departures else arrive
-        done = start + ack.wire_bytes * 8.0 / self._bottleneck_rate_bps
+        done = start + ack.wire_bytes * 8.0 / sc.bottleneck_rate_bps
         departures.append(done)
         eq.schedule_at(
-            (done + self._bottleneck_delay_s) + self._access_delay_s,
+            (done + sc.bottleneck_delay_s) + sc.access_delay_s,
             ARRIVAL, partial(self._ack_reaches_sender, ack),
         )
 

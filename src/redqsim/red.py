@@ -59,13 +59,6 @@ class Verdict(enum.Enum):
     FORCED_DROP_BUFFER = "forced_drop_buffer"
 
 
-# Bound once for decide(): reading a member off an Enum class is an
-# attribute lookup through its metaclass.
-_ACCEPT, _RANDOM_DROP, _FORCED_DROP_AVG, _FORCED_DROP_BUFFER = (
-    Verdict.ACCEPT, Verdict.RANDOM_DROP, Verdict.FORCED_DROP_AVG,
-    Verdict.FORCED_DROP_BUFFER)
-
-
 @dataclass(frozen=True)
 class RedParams:
     """Static gatekeeper configuration.
@@ -216,24 +209,20 @@ def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
     into the average, reject on a full buffer, accept below min_th,
     force-drop at or above max_th, otherwise draw against p_a.  Updates
     avg and count, never q.  Returns (verdict, p_b, p_a); both
-    probabilities are 0 outside the random region.  The average and p_b
-    are update_avg() and compute_pb() written out, with the same float
-    operations, because decide runs once per bottleneck arrival.
+    probabilities are 0 outside the random region.
     """
-    w_q = params.w_q
-    avg = state.avg = (1.0 - w_q) * state.avg + w_q * q
-    min_th = params.min_th
+    avg = update_avg(state, params, q)
     if q >= params.buffer_cap:
-        verdict = _FORCED_DROP_BUFFER
-    elif avg < min_th:
-        verdict = _ACCEPT
+        verdict = Verdict.FORCED_DROP_BUFFER
+    elif avg < params.min_th:
+        verdict = Verdict.ACCEPT
     elif avg >= params.max_th:
-        verdict = _FORCED_DROP_AVG
+        verdict = Verdict.FORCED_DROP_AVG
     else:
-        p_b = params.max_p * (avg - min_th) / (params.max_th - min_th)
+        p_b = compute_pb(params, avg)
         s = packet_len / params.max_packet_size
         dropped, p_a = row_step(row, (1.0, s, s * s), p_b, state, u)
-        return (_RANDOM_DROP if dropped else _ACCEPT), p_b, p_a
+        return (Verdict.RANDOM_DROP if dropped else Verdict.ACCEPT), p_b, p_a
     state.count = 0.0
     return verdict, 0.0, 0.0
 

@@ -19,7 +19,6 @@ from redqsim.engine import (
     DumbbellSim,
     EventQueue,
     FlowGroup,
-    Link,
     Scenario,
     run_scenario,
 )
@@ -204,31 +203,6 @@ class TestTopology:
                        2: clock_1 + recv_delay}
         assert link.recv_free_at == [clock_0 + recv_tx, clock_1]
         assert link.counters.departed == 3
-
-    def test_burst_joins_the_access_link_as_per_segment_sends(self):
-        # Two bursts onto one access link, the second while it is busy,
-        # leave the same single service event and the same departures as
-        # one Link.send per segment.
-        sc = make_scenario(groups=(FlowGroup("solo", 1, 1500),))
-        segs = [Segment(0, seq=k * 1460, payload=1460) for k in range(3)]
-        sim = DumbbellSim(sc)
-        flow = sim.flows[0]
-        sim._transmit(flow, segs[:2])
-        sim._transmit(flow, segs[2:])
-        assert len(sim.eq._heap) == 1
-        assert list(flow.access_link.backlog) == segs
-
-        def departures(eq, link):
-            times = []
-            link.deliver = lambda seg: times.append((seg.seq, eq.now))
-            eq.run(until=1.0)
-            return times
-
-        ref_eq = EventQueue()
-        ref = Link(ref_eq, sc.access_rate_bps, sc.access_delay_s, None)
-        for seg in segs:
-            ref.send(seg)
-        assert departures(sim.eq, flow.access_link) == departures(ref_eq, ref)
 
     def test_ack_queue_departure_leaves_before_a_same_time_arrival(self):
         # A one-ACK return queue with no access delay: the first ACK

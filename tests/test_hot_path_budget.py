@@ -18,7 +18,7 @@ from redqsim.engine import DumbbellSim, FlowGroup, Scenario
 from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
-REACHED = {"reno": 17.90, "sack": 19.59}
+REACHED = {"reno": 20.24, "sack": 22.20}
 
 
 def calls_per_arrival(tcp: str) -> float:

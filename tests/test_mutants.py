@@ -93,13 +93,6 @@ def sender_model(*examples):
     return check
 
 
-def decide_formulas(_monkeypatch):
-    """decide's written-out average and p_b at one fixed queue stream."""
-    inner = test_red.TestDecideCore.test_core_average_and_pb_are_update_avg_and_compute_pb
-    inner.hypothesis.inner_test(test_red.TestDecideCore(), w_q=0.3, max_p=0.5,
-                                stream=[(q, 0.5) for q in (3, 5, 7, 4, 2, 6, 9)])
-
-
 RENO, SACK = TcpVariant.RENO, TcpVariant.SACK
 # Examples of the invariant property that kill a mutant below.
 FLOOR_EXAMPLE = (RENO, 3, 0.1, 0.0, 1)
@@ -132,12 +125,6 @@ MUTANTS = [
            "den = math.nextafter(1.0 - count * powers[row[1]] * p_b, 0.0)\n",
            lambda _mp: test_droplaw.TestMechanicsLaw()
            .test_equals_enumeration_bit_for_bit(RedVariant.RED_3)),
-    Mutant("average without the old average's weight", red, "decide",
-           "(1.0 - w_q) * state.avg + w_q * q", "state.avg + w_q * q",
-           decide_formulas),
-    Mutant("p_b measured from 0, not from min_th", red, "decide",
-           "params.max_p * (avg - min_th)", "params.max_p * avg",
-           decide_formulas),
     Mutant("buffer-full drop only above buffer_cap", red, "decide",
            "if q >= params.buffer_cap:", "if q > params.buffer_cap:",
            lambda _mp: test_red.TestOnPacketArrival()
@@ -198,10 +185,6 @@ MUTANTS = [
     Mutant("new ACK without the snd_nxt jump", tcp.TcpSender, "_on_new_ack",
            "self.snd_nxt = ack_no\n", "pass\n",
            endpoint_invariants(REWIND_EXAMPLE)),
-    Mutant("burst scheduled onto a busy access link", engine.DumbbellSim,
-           "_transmit", "if idle:", "if True:",
-           lambda _mp: test_engine.TestTopology()
-           .test_burst_joins_the_access_link_as_per_segment_sends()),
     Mutant("receive clock ignores a busy receive link", engine.Bottleneck,
            "_finish_service", "if arrive >= free:", "if True:",
            lambda _mp: test_engine.TestTopology()

@@ -382,32 +382,6 @@ class TestDecideCore:
             if verdict is not Verdict.ACCEPT:
                 assert core.count == 0.0
 
-    @given(
-        w_q=st.floats(min_value=0.0001, max_value=1.0),
-        max_p=st.floats(min_value=0.01, max_value=1.0),
-        stream=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=10),
-                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-            ),
-            min_size=1,
-            max_size=200,
-        ),
-    )
-    def test_core_average_and_pb_are_update_avg_and_compute_pb(self, w_q, max_p, stream):
-        # decide writes both formulas out; they must stay bit-identical to
-        # the public helpers, including p_b whenever one is returned.
-        params = RedParams(w_q=w_q, max_p=max_p, min_th=2.0, max_th=6.0, buffer_cap=8)
-        core, twin = RedState(), RedState()
-        for q, u in stream:
-            _verdict, p_b, _p_a = decide(core, params, VARIANT_EXPONENTS[RedVariant.RED_3],
-                                         q, 750, u)
-            avg = update_avg(twin, params, q)
-            assert core.avg == avg
-            if params.min_th <= avg < params.max_th and q < params.buffer_cap:
-                assert p_b == compute_pb(params, avg)
-            twin.count = core.count
-
 
 # ---------------------------------------------------------------
 # policy equivalence at full-size packets

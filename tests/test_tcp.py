@@ -282,11 +282,13 @@ class TestSackRecovery:
         sacked = {seg.seq for seg in segs[1:]}
         assert not (set(retransmitted) & sacked)
 
-
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 6: after a timeout rewinds snd_nxt, blocks reported "
-        "above it enter the scoreboard and make the in-recovery pipe negative"))
-    def test_pipe_stays_non_negative_in_recovery_after_a_timeout(self, monkeypatch):
+    @staticmethod
+    def _recovery_after_timeout(monkeypatch):
+        # A 16-segment SACK flight times out, so snd_nxt rewinds to one
+        # segment; the receiver holds segments 5-15 of the first flight,
+        # all above the rewound frontier, and three ACKs report them.
+        # Returns the sender, the blocks, the flight and every pipe read
+        # in recovery.
         reads = []
         pipe = TcpSender._pipe
 
@@ -299,16 +301,29 @@ class TestSackRecovery:
         monkeypatch.setattr(TcpSender, "_pipe", recording_pipe)
         s = make_sender(TcpVariant.SACK, rcv_wnd=64 * MSS)
         s.cwnd = 16.0 * MSS
-        assert len(s.start(0.0)) == 16
+        flight = s.start(0.0)
         s.on_timeout(s.rto_deadline)
-        # The receiver holds segments 5-15 of the first flight, all above
-        # the rewound frontier, and every ACK reports them.
         blocks = ((5 * MSS, 16 * MSS),)
-        assert s.snd_nxt == MSS and blocks[0][0] > s.snd_nxt
+        rewound = s.snd_nxt
         for k in range(3):
             s.on_ack(ack(0, blocks), 2.0 + 0.01 * k)
+        return s, flight, rewound, blocks, reads
+
+    def test_scripted_sequence_reports_blocks_above_snd_nxt_in_recovery(self, monkeypatch):
+        s, flight, rewound, blocks, reads = self._recovery_after_timeout(monkeypatch)
+        assert len(flight) == 16
+        assert rewound == MSS and blocks[0][0] > rewound
         assert s.in_recovery and reads
-        assert min(reads) >= 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 6: after a timeout rewinds snd_nxt, blocks reported "
+        "above it enter the scoreboard and make the in-recovery pipe negative"))
+    def test_pipe_stays_non_negative_in_recovery_after_a_timeout(self, monkeypatch):
+        # The sequence is checked by the test above; an empty read list
+        # passes here, so a sequence that stops reaching recovery turns
+        # this strict mark red rather than satisfying it.
+        *_, reads = self._recovery_after_timeout(monkeypatch)
+        assert all(value >= 0 for value in reads)
 
 
 # ---------------------------------------------------------------
