@@ -36,10 +36,6 @@ _MASS_TOL = 1e-12
 
 MATHIS_DEFAULT_C = math.sqrt(1.5)
 
-# Gap positions the Monte Carlo p_a table adds at a time.  One chunk holds
-# every gap at p_b = 0.1 on a 1500/750/375-byte stream (at most 22).
-_TABLE_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class InterdropLaw:
@@ -255,34 +251,22 @@ def montecarlo_interdrop(
     Freezes p_b (equivalent to pinning the moving average) and restarts
     the size pattern after every drop, to match the law's per-gap
     indexing.  Each arrival draws against the p_a of its gap position
-    from _gap_pa_sequence(), tabled in chunks as trials reach the end of
-    the table.  Deterministic for a given seed: one uniform draw per
-    arrival, dropping the arrival when the draw is below its p_a.
+    from _gap_pa_sequence(), tabled whole before the first draw: the
+    sequence ends at its first 1.0, which no draw in [0, 1) passes, so no
+    trial runs off the table.  Deterministic for a given seed: one uniform
+    draw per arrival, dropping the arrival when the draw is below its p_a.
     """
     _validate_pb(p_b)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    positions = _gap_pa_sequence(variant, p_b, stream)
-    table: list[float] = []  # table[k]: p_a of the (k+1)-th arrival
-    hits: list[int] = []  # hits[k]: trials whose gap is k + 1
-
-    def grow() -> None:
-        chunk = list(itertools.islice(positions, _TABLE_CHUNK))
-        table.extend(chunk)
-        hits.extend([0] * len(chunk))
-
+    # table[k]: p_a of the (k+1)-th arrival; hits[k]: trials whose gap is k + 1.
+    table = list(_gap_pa_sequence(variant, p_b, stream))
+    hits = [0] * len(table)
     uniform = random.Random(seed).random
     for _ in range(trials):
         n = 0
-        while True:
-            try:
-                # table[n] is read before the draw, so running off the end
-                # of the table consumes no draw.
-                while table[n] <= uniform():
-                    n += 1
-                break
-            except IndexError:
-                grow()
+        while table[n] <= uniform():
+            n += 1
         hits[n] += 1
     return InterdropLaw({k + 1: c / trials for k, c in enumerate(hits) if c})
 

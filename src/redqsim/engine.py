@@ -13,8 +13,9 @@ zero-argument handler, never a per-event closure.
 The topology is a dumbbell: every sender reaches the first router over
 its own access link, the two routers exchange traffic over a pair of
 one-way bottleneck links (data direction guarded by the drop
-gatekeeper, return direction a plain bounded FIFO), and every receiver
-hangs off the second router on its own access link, so the round-trip
+gatekeeper, whose judge answers each arrival with a red.Verdict alone;
+return direction a plain bounded FIFO), and every receiver hangs off
+the second router on its own access link, so the round-trip
 floor is twice the bottleneck delay plus four access delays.  Receive
 access links are per-flow clocks; sender access links and the data
 bottleneck keep their service events, whose same-time ties with
@@ -217,8 +218,8 @@ class Bottleneck(Link):
     Every arrival takes exactly one uniform draw, whatever the verdict,
     so the random stream depends only on the arrival order.  A packet
     that finds q packets in the backlog (the only copy of the queue
-    length) is judged by judge(q, packet_len, u) -> (verdict, p_b, p_a),
-    as red.decide returns, and tallied by group with its verdict.
+    length) is judged by judge(q, packet_len, u) -> Verdict, as a bound
+    red.decide is, and tallied by group with its verdict.
 
     The far end has no event.  A departure is tallied and goes straight
     to its flow's receive clock, the receive access link's next idle
@@ -238,7 +239,7 @@ class Bottleneck(Link):
         rate_bps: float,
         prop_delay_s: float,
         deliver: Callable[[Segment], None] | None,
-        judge: Callable[[int, int, float], tuple[Verdict, float, float]],
+        judge: Callable[[int, int, float], Verdict],
         rng: random.Random,
         group_of: Callable[[int], int],
         n_groups: int,
@@ -261,7 +262,7 @@ class Bottleneck(Link):
         backlog = self.backlog
         q = len(backlog)
         c.arrivals[g] += 1
-        verdict = self.judge(q, seg.wire_bytes, self.rng.random())[0]
+        verdict = self.judge(q, seg.wire_bytes, self.rng.random())
         if verdict is ACCEPT:
             c.accepted[g] += 1
             if q >= c.max_q:
@@ -372,9 +373,6 @@ class Scenario:
     def flow_count(self) -> int:
         return sum(g.flow_count for g in self.groups)
 
-    def rtt_floor_s(self) -> float:
-        return 2.0 * (self.bottleneck_delay_s + 2.0 * self.access_delay_s)
-
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(self, seed=seed)
 
@@ -410,11 +408,10 @@ class _Flow:
 class DumbbellSim:
     """One configured experiment, ready to run.
 
-    judge(q, packet_len, u) -> (verdict, p_b, p_a) overrides the
-    bottleneck's verdict rule, by default red.decide with the scenario's
-    gatekeeper bound.  A departure from the bottleneck goes straight to
-    its flow's receive clock inside Bottleneck, which schedules the
-    receiver event.
+    judge(q, packet_len, u) -> Verdict overrides the bottleneck's verdict
+    rule, by default red.decide with the scenario's gatekeeper bound.  A
+    departure from the bottleneck goes straight to its flow's receive
+    clock inside Bottleneck, which schedules the receiver event.
 
     The bottleneck's far end is connected only while run() dispatches
     events, and run() drops the events still pending past the horizon

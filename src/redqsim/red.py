@@ -6,10 +6,11 @@ on an exponentially weighted moving average of the queue size and on a
 counter of packets accepted since the last drop.  The five policy
 variants differ only in how the packet length enters the drop
 probability and in how the counter advances.  decide() is the unchecked
-core for a caller that owns the queue length; on_packet_arrival() is
-the checked entry point that keeps it in RedState.q.  row_step() is the
-random-region draw that decide() makes, exposed for callers that freeze
-p_b, such as the Monte Carlo drop-law harness.
+core for a caller that owns the queue length, and answers with a Verdict
+alone; on_packet_arrival() is the checked entry point that keeps the
+length in RedState.q.  row_step() is the random-region draw that
+decide() makes, exposed for callers that freeze p_b, such as the Monte
+Carlo drop-law harness.
 """
 
 from __future__ import annotations
@@ -115,8 +116,6 @@ class RedState:
 @dataclass(frozen=True)
 class DropDecision:
     verdict: Verdict
-    p_b: float = 0.0
-    p_a: float = 0.0
 
     @property
     def accepted(self) -> bool:
@@ -201,15 +200,15 @@ def random_region_step(variant: RedVariant, params: RedParams, p_b: float,
 
 
 def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
-           q: int, packet_len: int, u: float) -> tuple[Verdict, float, float]:
-    """Unchecked admission decision for a packet that finds q queued.
+           q: int, packet_len: int, u: float) -> Verdict:
+    """Unchecked admission verdict for a packet that finds q queued.
 
     row is the variant's VARIANT_EXPONENTS entry; the caller guarantees
     0 < packet_len <= max_packet_size and 0 <= u < 1.  Order: fold q
     into the average, reject on a full buffer, accept below min_th,
     force-drop at or above max_th, otherwise draw against p_a.  Updates
-    avg and count, never q.  Returns (verdict, p_b, p_a); both
-    probabilities are 0 outside the random region.
+    avg and count, never q.  Bound to a state, params and row, it is a
+    bottleneck judge: (q, packet_len, u) -> Verdict.
     """
     avg = update_avg(state, params, q)
     if q >= params.buffer_cap:
@@ -219,12 +218,12 @@ def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
     elif avg >= params.max_th:
         verdict = Verdict.FORCED_DROP_AVG
     else:
-        p_b = compute_pb(params, avg)
         s = packet_len / params.max_packet_size
-        dropped, p_a = row_step(row, (1.0, s, s * s), p_b, state, u)
-        return (Verdict.RANDOM_DROP if dropped else Verdict.ACCEPT), p_b, p_a
+        if row_step(row, (1.0, s, s * s), compute_pb(params, avg), state, u)[0]:
+            return Verdict.RANDOM_DROP
+        return Verdict.ACCEPT
     state.count = 0.0
-    return verdict, 0.0, 0.0
+    return verdict
 
 
 def on_packet_arrival(state: RedState, params: RedParams, variant: RedVariant,
@@ -238,8 +237,8 @@ def on_packet_arrival(state: RedState, params: RedParams, variant: RedVariant,
         raise ValueError("packet_len must be in (0, max_packet_size]")
     if not 0.0 <= u < 1.0:
         raise ValueError("u must be in [0, 1)")
-    verdict, p_b, p_a = decide(state, params, VARIANT_EXPONENTS[variant],
-                               state.q, packet_len, u)
+    verdict = decide(state, params, VARIANT_EXPONENTS[variant], state.q,
+                     packet_len, u)
     if verdict is Verdict.ACCEPT:
         state.q += 1
-    return DropDecision(verdict, p_b, p_a)
+    return DropDecision(verdict)

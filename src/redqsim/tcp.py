@@ -261,6 +261,8 @@ class TcpSender:
 
     def _retransmit(self, seq: int, now: float) -> Segment:
         length = min(self._mss, self.recovery_point - seq)
+        if length <= 0:
+            raise RuntimeError(f"flow {self.flow_id}: empty retransmission at seq {seq}")
         self._invalidate_sample_if_hit(seq, seq + length)
         self._retx_ranges.append((seq, seq + length))
         self._retx_ranges = _merge_ranges(self._retx_ranges)
@@ -416,7 +418,7 @@ class TcpReceiver:
     """
 
     __slots__ = ("flow_id", "config", "_sack", "rcv_nxt", "delivered_bytes",
-                 "duplicates", "_ooo", "_recent")
+                 "_ooo", "_recent")
 
     def __init__(self, flow_id: int, config: TcpConfig):
         self.flow_id = flow_id
@@ -424,7 +426,6 @@ class TcpReceiver:
         self._sack = config.variant is _SACK
         self.rcv_nxt = 0
         self.delivered_bytes = 0
-        self.duplicates = 0
         self._ooo: list[tuple[int, int]] = []
         self._recent: list[tuple[int, int]] = []
 
@@ -450,9 +451,8 @@ class TcpReceiver:
             self.delivered_bytes += end - self.rcv_nxt
             self.rcv_nxt = end
             return Segment(self.flow_id, 0, 0, True, end)
-        if end <= self.rcv_nxt:
-            self.duplicates += 1
-        elif start <= self.rcv_nxt:
+        # A segment of delivered data only repeats the ACK below.
+        if start <= self.rcv_nxt < end:
             frontier = end
             keep = []
             for b_start, b_end in self._ooo:
@@ -465,16 +465,13 @@ class TcpReceiver:
             self.rcv_nxt = frontier
             if self._recent:
                 self._recent = [b for b in self._recent if b in self._ooo]
-        else:
+        elif start > self.rcv_nxt:
             ooo = self._ooo
             if ooo and ooo[-1][1] == start < end:
                 # Extends the highest block, which is all the merge does.
                 ooo[-1] = (ooo[-1][0], end)
             else:
-                before = list(ooo)
                 self._ooo = _merge_ranges(ooo + [(start, end)])
-                if self._ooo == before:
-                    self.duplicates += 1
             if self._sack:
                 self._touch_block(start, end)  # only the gap report reads it
         blocks: tuple[tuple[int, int], ...] = ()

@@ -6,14 +6,28 @@ cached module-wide; each uses the desk-scale setup (60 flows, 30 Mbit/s
 bottleneck, 60 s simulated, seed 1, Reno endpoints).
 
 Two sub-clauses encode idealized per-arrival marking ratios (4:2:1 for the
-linear-weight policies, 16:4:1 for the squared one) that the actual
-closed-loop mechanics do not reproduce at the 15 ms propagation delay:
-realized per-group loss is the count-mix-weighted average of the marking
-probability, and timeout-dominated small windows bias that mix (RED_2
-additionally saturates to deterministic drops once count reaches 1/p_b,
-collapsing large-MTU flows outright — which its other clause asserts).
-Those assertions are kept at their stated tolerances and fail honestly
-rather than being weakened to fit.
+linear-weight policies, 16:4:1 for the squared one) that the runs at the
+15 ms propagation delay do not reach.  Measured causes, on the same
+gatekeeper code:
+
+- RED_5 (criterion 10) reads 7.65:2.33:1 in total, but its random drops
+  alone read 15.54:3.97:1.  The miss comes from the forced drops taken
+  while avg >= max_th, which ignore packet size: 308, 960 and 2244 in the
+  large, medium and small groups.
+- RED_3 (criterion 8) misses because its own open-loop law sits below
+  4:2:1 at the runs' p_b.  An exact chain over count, at the run's
+  arrival mix and a frozen p_b, gives 3.78:1.94:1 at p_b 0.003 and
+  3.05:1.69:1 at p_b 0.1: every gap ends within 1/p_b arrivals, where
+  p_a reaches 1 whatever the size.  The run reads about 2.7:1.5:1.
+- RED_2's open-loop law depends strongly on p_b, from 64.3:2.41:1 at
+  p_b 0.003 to 15.9:4.28:1 at 0.1, and it saturates to certain drops
+  once count reaches 1/(s p_b), collapsing the large-MTU flows, which
+  its other clause asserts.
+
+These are single-seed ratios, and fragile: a change to the same-time
+tie rule alone moved RED_5 at 15 ms to 9.31:2.73:1.  The assertions are
+kept at their stated tolerances and fail honestly rather than being
+weakened to fit.
 """
 
 import os
@@ -259,7 +273,9 @@ class TestOracleCriteria:
             bottleneck_delay_s=0.048,
             access_delay_s=0.001,
         )
-        assert scenario.rtt_floor_s() == pytest.approx(0.1)
+        # The bound's RTT is the floor: two bottleneck and four access delays.
+        floor_s = 2.0 * (scenario.bottleneck_delay_s + 2.0 * scenario.access_delay_s)
+        assert floor_s == pytest.approx(0.1)
         report = run_scenario(
             scenario, judge=bernoulli_judge(0.01, scenario.red.buffer_cap))
         bound = mathis_goodput_bound(1460, 0.1, 0.01)

@@ -33,11 +33,10 @@ REPLAY_STREAMS = {
 }
 
 
-# Gaps that run past the first chunk of montecarlo_interdrop's p_a table
-# (RED_1 at p_b 0.004 has support 250, RED_5 on (1, 1500) at p_b 0.004
-# has support 500), and p_b 1.0, whose law is {1: 1.0} on full-size
-# packets.
-GROWTH_CASES = [
+# Long gaps (RED_1 at p_b 0.004 has support 250, RED_5 on (1, 1500) at
+# p_b 0.004 has support 500), and p_b 1.0, whose law is {1: 1.0} on
+# full-size packets, so montecarlo_interdrop's p_a table has one entry.
+LONG_AND_CERTAIN_CASES = [
     (RedVariant.RED_1, 0.004, "full"),
     (RedVariant.RED_5, 0.004, "one-byte-then-full"),
     *((variant, 1.0, "full") for variant in RedVariant),
@@ -290,11 +289,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("seed", (3, 20260819))
     @pytest.mark.parametrize(
-        "variant, p_b, stream_name", GROWTH_CASES,
-        ids=[f"{v.value}-{p_b}-{name}" for v, p_b, name in GROWTH_CASES],
+        "variant, p_b, stream_name", LONG_AND_CERTAIN_CASES,
+        ids=[f"{v.value}-{p_b}-{name}" for v, p_b, name in LONG_AND_CERTAIN_CASES],
     )
-    def test_replay_bit_identical_past_first_table_chunk(self, variant, p_b,
-                                                         stream_name, seed):
+    def test_replay_bit_identical_on_long_and_certain_gaps(self, variant, p_b,
+                                                           stream_name, seed):
         stream = REPLAY_STREAMS[stream_name]
         law = montecarlo_interdrop(variant, p_b, stream, 3000, seed=seed)
         assert law.pmf == checked_step_replay(variant, p_b, stream, 3000, seed)

@@ -52,16 +52,15 @@ def bernoulli_judge(loss_prob, cap):
     """Size-blind independent dropper, for calibration runs.
 
     A constant drop probability and an occupancy cap, as a bottleneck
-    judge: (q, packet_len, u) -> (verdict, p_b, p_a).
+    judge: (q, packet_len, u) -> Verdict.
     """
     if not 0.0 <= loss_prob < 1.0:
         raise ValueError("loss_prob must be in [0, 1)")
 
     def judge(q, _packet_len, u):
         if q >= cap:
-            return Verdict.FORCED_DROP_BUFFER, 0.0, 0.0
-        verdict = Verdict.RANDOM_DROP if u < loss_prob else Verdict.ACCEPT
-        return verdict, loss_prob, loss_prob
+            return Verdict.FORCED_DROP_BUFFER
+        return Verdict.RANDOM_DROP if u < loss_prob else Verdict.ACCEPT
 
     return judge
 
@@ -144,10 +143,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError) as err:
             make_scenario(**overrides)
         assert err.value.field == field
-
-    def test_rtt_floor_combines_all_propagation_delays(self):
-        sc = make_scenario(bottleneck_delay_s=0.015, access_delay_s=0.001)
-        assert sc.rtt_floor_s() == pytest.approx(0.034)
 
     def test_flow_count_sums_groups(self):
         assert make_scenario().flow_count == 60

@@ -10,9 +10,10 @@ those call sites).
 The check is an existing test called directly, or a Hypothesis property
 called through its inner test at fixed examples, so each kill is
 deterministic and no shrinking runs.  The check must pass on the package
-before it fails on the mutant.  A mutant that no check kills stays in the
-matrix as a strict expected failure, so a check that starts to kill it
-shows up.
+before it fails on the mutant, with an AssertionError unless the row
+names the error a fail-fast guard raises.  A mutant that no check kills
+stays in the matrix as a strict expected failure, so a check that starts
+to kill it shows up.
 """
 
 import __future__
@@ -44,6 +45,7 @@ class Mutant:
     new: str
     check: Callable[[pytest.MonkeyPatch], None]
     survives: str = ""  # why no check kills it, for a surviving mutant
+    raises: type[BaseException] = AssertionError  # what the check fails with
 
     def install(self, monkeypatch):
         original = inspect.getattr_static(self.owner, self.attr)
@@ -198,6 +200,23 @@ MUTANTS = [
     Mutant("receiver extends the highest block across a gap", tcp.TcpReceiver,
            "on_data", "if ooo and ooo[-1][1] == start < end:", "if ooo:",
            lambda _mp: test_tcp.TestReceiver().test_block_report_most_recent_first_max_three()),
+    # Once spun _emit_recovery forever: the hole at recovery_point is
+    # refilled with zero bytes, so the pipe never grows.
+    Mutant("hole offered at recovery_point", tcp.TcpSender, "_next_hole",
+           "if pos < min(self.recovery_point, high_sack):",
+           "if pos <= min(self.recovery_point, high_sack):",
+           lambda _mp: test_tcp.TestSackRecovery()
+           .test_hole_retransmitted_once_and_exit_at_frontier(),
+           raises=RuntimeError),
+    Mutant("RTO ticks rounded without the float-error guard", tcp.TcpSender,
+           "_rto_update", "math.ceil(raw / g - 1e-9)", "math.ceil(raw / g)",
+           lambda _mp: test_tcp.TestRtoEstimator()
+           .test_whole_tick_estimate_is_not_rounded_past_float_error()),
+    Mutant("p_b denominator nudged by 1e-9", red, "compute_pb",
+           "(params.max_th - params.min_th)", "(params.max_th - params.min_th + 1e-9)",
+           lambda _mp: test_red.TestComputePb.test_matches_readme_formula_bit_for_bit
+           .hypothesis.inner_test(test_red.TestComputePb(), min_th=40.0, width=80.0,
+                                  max_p=0.1, frac=0.5)),
 ]
 
 
@@ -214,5 +233,5 @@ def test_check_passes_on_the_package_and_kills_the_mutant(mutant, monkeypatch):
         mutant.check(clean)
     with monkeypatch.context() as patched:
         mutant.install(patched)
-        with pytest.raises(AssertionError):
+        with pytest.raises(mutant.raises):
             mutant.check(patched)

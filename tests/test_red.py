@@ -1,6 +1,7 @@
 """Unit tests for the drop gatekeeper: averaging, probabilities, branches."""
 
 import copy
+import math
 import random
 
 import pytest
@@ -114,6 +115,16 @@ class TestUpdateAvg:
             update_avg(state, params, 90)
         assert state.avg == pytest.approx(90.0, rel=1e-3)
 
+    @given(
+        w_q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        avg=st.floats(min_value=0.0, max_value=1e4),
+        q=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_readme_formula_bit_for_bit(self, w_q, avg, q):
+        state = RedState(avg=avg)
+        expected = (1.0 - w_q) * avg + w_q * q  # README's average
+        assert update_avg(state, RedParams(w_q=w_q), q) == expected == state.avg
+
 
 # ---------------------------------------------------------------
 # temporary drop probability
@@ -137,6 +148,21 @@ class TestComputePb:
     def test_monotone_in_avg(self, params):
         values = [compute_pb(params, a) for a in (40.0, 60.0, 80.0, 100.0, 119.9)]
         assert values == sorted(values)
+
+    @given(
+        min_th=st.floats(min_value=0.0, max_value=100.0),
+        width=st.floats(min_value=1e-3, max_value=200.0),
+        max_p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_matches_readme_formula_bit_for_bit(self, min_th, width, max_p, frac):
+        max_th = min_th + width
+        params = RedParams(min_th=min_th, max_th=max_th, max_p=max_p,
+                           buffer_cap=math.ceil(max_th))
+        # Rounding may land min_th + frac * width on max_th: step back inside.
+        avg = min(min_th + frac * (max_th - min_th), math.nextafter(max_th, 0.0))
+        expected = max_p * (avg - min_th) / (max_th - min_th)  # README p_b
+        assert compute_pb(params, avg) == expected
 
 
 # ---------------------------------------------------------------
@@ -264,8 +290,7 @@ class TestOnPacketArrival:
     def test_below_min_accepts_and_resets_count(self, params):
         state = RedState(avg=10.0, q=5, count=3.0)
         d = on_packet_arrival(state, params, RedVariant.RED_1, 1500, 0.0)
-        assert d.verdict is Verdict.ACCEPT
-        assert d.p_b == 0.0 and d.p_a == 0.0
+        assert d == DropDecision(Verdict.ACCEPT) and d.accepted
         assert state.count == 0.0 and state.q == 6
 
     def test_full_buffer_drops_before_anything_else(self, params):
@@ -283,11 +308,11 @@ class TestOnPacketArrival:
     def test_random_region_drop_and_accept(self, params):
         state = RedState(avg=80.0, q=80)
         d = on_packet_arrival(state, params, RedVariant.RED_1, 1500, 0.0)
-        assert d.verdict is Verdict.RANDOM_DROP
-        assert d.p_a > 0.0 and d.p_b == pytest.approx(0.05, rel=1e-3)
-        assert state.q == 80
+        assert d.verdict is Verdict.RANDOM_DROP and not d.accepted
+        assert state.q == 80 and state.count == 0.0
         d = on_packet_arrival(state, params, RedVariant.RED_1, 1500, 0.98)
         assert d.verdict is Verdict.ACCEPT and state.q == 81
+        assert state.count == 1.0
 
     def test_average_updates_even_when_buffer_full(self, params):
         state = RedState(avg=100.0, q=params.buffer_cap)
@@ -374,8 +399,8 @@ class TestDecideCore:
         for q, length, u in stream:
             checked.q = q
             d = on_packet_arrival(checked, params, variant, length, u)
-            verdict, p_b, p_a = decide(core, params, row, q, length, u)
-            assert (verdict, p_b, p_a) == (d.verdict, d.p_b, d.p_a)
+            verdict = decide(core, params, row, q, length, u)
+            assert verdict is d.verdict
             assert core.avg == checked.avg and core.count == checked.count
             assert checked.q == q + (verdict is Verdict.ACCEPT)
             assert core.q == 0
@@ -409,8 +434,8 @@ class TestFullSizeEquivalence:
         runs = []
         for variant in ALL_VARIANTS:
             state, row = RedState(), VARIANT_EXPONENTS[variant]
-            runs.append([(*decide(state, params, row, q, max_size, u), state.count)
-                         for q, u in stream])
+            runs.append([(decide(state, params, row, q, max_size, u), state.avg,
+                          state.count) for q, u in stream])
         for variant, run in zip(ALL_VARIANTS[1:], runs[1:]):
             assert run == runs[0], variant
 
