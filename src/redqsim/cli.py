@@ -39,10 +39,11 @@ Seed precedence: ``--seed`` flag > ``REDQSIM_SEED`` environment variable >
 Sweep cells are ordered variant-major, then tcp, then delay; the cell at
 index ``i`` runs with seed ``(base_seed * 1000003 + i) % 2**31`` so any cell
 is reproducible from the base seed alone.  ``sweep --jobs N`` runs up to
-``min(N, os.cpu_count(), cells)`` cells at once, each in its own forked
-child (see ``redqsim.parallel``); rows, diagnostics and the exit code are
-emitted in cell order, so the output is byte-identical to ``--jobs 1``,
-the default, which runs every cell in this process.
+``min(N, os.cpu_count(), cells)`` cells at once, each in its own child
+made by ``os.fork``, which pipes its result back (see
+``redqsim.parallel``); rows, diagnostics and the exit code are emitted in
+cell order, so the output, exit code included, is byte-identical to
+``--jobs 1``, the default, which runs every cell in this process.
 
 Exit codes: 0 success; 1 validator threshold breach; 2 configuration error
 (message names the offending field); 3 runtime diagnostic, printed to

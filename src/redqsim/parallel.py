@@ -1,32 +1,31 @@
 """Ordered parallel map over one-shot forked children.
 
 ``ordered_map(fn, items, jobs)`` returns ``[fn(item) for item in items]``.
-With more than one job it runs each item in its own child, forked from
-this process, so ``fn`` and the items are never pickled; only the result
-is, on its way back up a one-way pipe.  At most ``jobs`` children are
-alive at once, and the next item starts when one finishes.
+With more than one job each item runs in its own child, made by
+``os.fork``, so ``fn`` and the items are never pickled; only the result
+is, on its way back up the child's one-way ``os.pipe``.  At most ``jobs``
+children are alive at once, and the next item starts when one finishes.
 
 No child can outlive the call:
 
-- a child runs exactly one item, sends its result and exits through
-  ``os._exit``; no worker ever waits for more work;
-- a child closes the read ends it inherited, so a write to a dead parent
-  fails;
+- a child runs one item, sends its result and leaves through
+  ``os._exit``, never back into the caller's stack;
+- a child closes the read ends it inherited, so its write to a dead
+  parent fails;
 - on Linux a child asks for SIGKILL when the thread that forked it dies
-  (``PR_SET_PDEATHSIG``), then exits at once if that parent is already
-  gone;
-- on any exception, the parent kills and joins every live child before
-  the exception leaves this module.
+  (``PR_SET_PDEATHSIG``), then exits at once if that parent is gone;
+- on any exception, the parent kills and reaps every live child.
 
 A child that raises sends back its traceback text, and the parent raises
 ``WorkerError`` with it.  Where ``os.fork`` does not exist, every item
-runs in-process.  ``multiprocessing`` is imported only for a parallel map,
-so a serial run does not pay for its modules.
+runs in-process.  ``pickle`` and ``select`` are imported only for a
+parallel map, so a serial run does not load them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import signal
 import sys
@@ -51,94 +50,95 @@ def effective_jobs(jobs: int, item_count: int) -> int:
 @functools.cache
 def _prctl():
     """libc's prctl on Linux, else None."""
-    if not sys.platform.startswith("linux"):
-        return None
-    import ctypes
+    if sys.platform.startswith("linux"):
+        import ctypes
+        return getattr(ctypes.CDLL(None), "prctl", None)
+
+
+def _child(fn, item, parent_pid, inherited, writer):
+    """Run fn(item) in a forked child and send the pickled outcome; never returns."""
     try:
-        return ctypes.CDLL(None, use_errno=True).prctl
-    except (OSError, AttributeError):
-        return None
-
-
-def _child(fn, item, parent_pid, inherited, writer) -> None:
-    for reader in inherited:
-        reader.close()
-    prctl = _prctl()
-    if prctl is not None:
-        prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-    if os.getppid() != parent_pid:
+        for reader in inherited:
+            os.close(reader)
+        prctl = _prctl()
+        if prctl is not None:
+            prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        if os.getppid() == parent_pid:
+            import pickle
+            try:
+                message = pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
+            except BaseException:
+                message = pickle.dumps((False, traceback.format_exc()))
+            with open(writer, "wb") as pipe:
+                pipe.write(message)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(0)
+    finally:
         os._exit(1)
-    try:
-        message = (True, fn(item))
-    except BaseException:
-        message = (False, traceback.format_exc())
-    writer.send(message)
 
 
 def start_child(fn, item, inherited):
-    """Fork one child that runs fn(item); return (process, read end)."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
-    child = context.Process(
-        target=_child, args=(fn, item, os.getpid(), inherited + [reader], writer))
+    """Fork a child that runs fn(item) and closes `inherited`; return (pid, read fd)."""
+    parent_pid = os.getpid()
+    reader, writer = os.pipe()
     try:
-        child.start()
+        sys.stdout.flush()  # else a child flushes its copy of unwritten output
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            _child(fn, item, parent_pid, inherited + [reader], writer)
     except BaseException:
-        reader.close()
+        os.close(reader)
         raise
     finally:
-        writer.close()
-    return child, reader
+        os.close(writer)
+    return pid, reader
 
 
 def ordered_map(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], over at most `jobs` forked children.
 
     At an effective job count of 1 (see effective_jobs) fn runs in this
-    process, with no fork.
+    process, with no fork.  The parent waits for a child with no time
+    bound: a child that hangs holds the call until an exception in the
+    parent, such as Ctrl-C, kills and reaps every live child and leaves.
     """
     items = list(items)
     jobs = effective_jobs(jobs, len(items))
     if jobs == 1:
         return [fn(item) for item in items]
-    from multiprocessing.connection import wait
-
+    import pickle
+    import select
     _prctl()  # resolve once, before the first fork
     results = [None] * len(items)
-    pending = iter(enumerate(items))
-    live: dict = {}  # read end -> (item index, process)
-
-    def start_next() -> None:
-        entry = next(pending, None)
-        if entry is not None:
-            child, reader = start_child(fn, entry[1], list(live))
-            live[reader] = (entry[0], child)
-
+    pending = enumerate(items)
+    live: dict = {}  # read fd -> (item index, pid)
+    poller = select.poll()
     try:
-        for _ in range(jobs):
-            start_next()
-        while live:
-            for reader in wait(list(live)):
-                index, child = live.pop(reader)
-                try:
-                    ok, payload = reader.recv()
-                except EOFError:
-                    child.join()
+        while True:
+            for index, item in itertools.islice(pending, jobs - len(live)):
+                pid, reader = start_child(fn, item, list(live))
+                live[reader] = (index, pid)
+                poller.register(reader, select.POLLIN)
+            if not live:
+                return results
+            for reader, _event in poller.poll():
+                index, pid = live[reader]
+                data = b"".join(iter(functools.partial(os.read, reader, 1 << 16), b""))
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del live[reader]
+                poller.unregister(reader)
+                os.close(reader)
+                if not data:
                     raise WorkerError(
-                        f"item {index}: child exited with code {child.exitcode} "
-                        "before sending a result") from None
-                finally:
-                    reader.close()
-                child.join()
+                        f"item {index}: child exited with code {code} before sending a result")
+                ok, payload = pickle.loads(data)
                 if not ok:
                     raise WorkerError(f"item {index} raised in its child:\n{payload}")
                 results[index] = payload
-                start_next()
     finally:
-        for reader, (_index, child) in live.items():
-            child.kill()
-            child.join()
-            reader.close()
-    return results
+        for reader, (_index, pid) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)

@@ -96,6 +96,15 @@ def run_cli(args_or_fn, **kwargs):
     return rc, out.getvalue(), err.getvalue()
 
 
+def sweep_two_cells(path, jobs, monkeypatch):
+    """Sweep RED_1 and RED_3 x Reno x 15 ms at `jobs`, with two CPUs, so
+    jobs=2 forks a child per cell; return (rc, stdout, stderr)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert parallel.effective_jobs(jobs, 2) == jobs
+    return run_cli(lambda **k: cli.cmd_sweep(path, "RED_1,RED_3", "reno", "15",
+                                              None, None, jobs, env={}, **k))
+
+
 # ---------------------------------------------------------------
 # scenario parsing
 # ---------------------------------------------------------------
@@ -320,25 +329,35 @@ class TestSweepCommand:
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["cli-test/RED_1-reno-15ms"] * 3 + ["cli-test/RED_2-reno-15ms"] * 3
 
-    def test_stalled_cell_exits_3_with_diagnostic(self, starved_file):
-        rc, _, err = run_cli(
-            lambda **k: cli.cmd_sweep(starved_file, "RED_1", "reno", "15",
-                                      None, None, env={}, **k))
+    # Each runtime cause reaches the exit code from a forked cell too: the
+    # children inherit the monkeypatches, and both job counts print the
+    # same bytes.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stalled_cell_exits_3_with_diagnostic(self, starved_file, monkeypatch, jobs):
+        rc, out, err = result = sweep_two_cells(starved_file, jobs, monkeypatch)
         assert rc == cli.EXIT_RUNTIME
-        assert "RED_1-reno-15ms: runtime diagnostic: stalled: no packet" in err
+        assert [line for line in err.splitlines() if "stalled" in line] == [
+            f"cell dumbbell-defaults/{v}-reno-15ms: runtime diagnostic: stalled: "
+            "no packet reached the bottleneck in 2 s" for v in ("RED_1", "RED_3")]
+        assert len(out.strip().splitlines()) == 1 + 2 * 3
+        if jobs > 1:
+            assert result == sweep_two_cells(starved_file, 1, monkeypatch)
 
     @leaks
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_unconserved_audit_exits_3_naming_identity(self, scenario_file, monkeypatch,
-                                                       field, delta, message):
+                                                       field, delta, message, jobs):
         leak_audits(monkeypatch, field, delta)
-        rc, out, err = run_cli(
-            lambda **k: cli.cmd_sweep(scenario_file, "RED_1", "reno", "15",
-                                      None, None, env={}, **k))
+        rc, out, err = result = sweep_two_cells(scenario_file, jobs, monkeypatch)
         assert rc == cli.EXIT_RUNTIME
-        assert err.startswith(
-            f"cell cli-test/RED_1-reno-15ms: runtime diagnostic: {message}")
-        assert len(err.splitlines()) == 1
-        assert len(out.strip().splitlines()) == 1 + 3
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, variant in zip(lines, ("RED_1", "RED_3")):
+            assert line.startswith(
+                f"cell cli-test/{variant}-reno-15ms: runtime diagnostic: {message}")
+        assert len(out.strip().splitlines()) == 1 + 2 * 3
+        if jobs > 1:
+            assert result == sweep_two_cells(scenario_file, 1, monkeypatch)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_bad_jobs_exits_2_before_any_fork(self, scenario_file, monkeypatch, jobs):

@@ -18,6 +18,7 @@ to kill it shows up.
 
 import __future__
 import inspect
+import os
 import re
 import sys
 import textwrap
@@ -28,10 +29,11 @@ import pytest
 
 import test_droplaw
 import test_engine
+import test_parallel
 import test_red
 import test_sender_model
 import test_tcp
-from redqsim import droplaw, engine, red, tcp
+from redqsim import droplaw, engine, parallel, red, tcp
 from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
@@ -93,6 +95,15 @@ def sender_model(*examples):
                   seed=seed)
 
     return check
+
+
+def on_two_cpus(check):
+    """check, with two CPUs patched in so that the parallel map forks."""
+    def run(monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        check(monkeypatch)
+
+    return run
 
 
 RENO, SACK = TcpVariant.RENO, TcpVariant.SACK
@@ -217,6 +228,16 @@ MUTANTS = [
            lambda _mp: test_red.TestComputePb.test_matches_readme_formula_bit_for_bit
            .hypothesis.inner_test(test_red.TestComputePb(), min_th=40.0, width=80.0,
                                   max_p=0.1, frac=0.5)),
+    # The fork protocol of the parallel map.
+    Mutant("parent does not flush before forking", parallel, "start_child",
+           "sys.stdout.flush()", "None",
+           on_two_cpus(lambda mp: test_parallel.TestForkProtocol()
+                       .test_output_is_written_once_through_a_piped_stdout(mp, None))),
+    Mutant("the finally kills children without reaping them", parallel, "ordered_map",
+           "os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+           "os.kill(pid, signal.SIGKILL)\n",
+           on_two_cpus(lambda _mp: test_parallel.TestForkProtocol()
+                       .test_hung_children_are_killed_and_reaped_when_the_parent_raises(None))),
 ]
 
 

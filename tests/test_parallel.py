@@ -5,6 +5,7 @@ it forks may outlive it: not after it returns, not after it raises, and
 not after its own process is killed.
 """
 
+import contextlib
 import dataclasses
 import glob
 import io
@@ -94,6 +95,30 @@ def forks(monkeypatch):
     return started
 
 
+@contextlib.contextmanager
+def raising_after(seconds: float):
+    """Raise TimeoutError in this process once `seconds` have passed."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def reap_children() -> set[int]:
+    """Kill and reap every child of this process; return their pids."""
+    kids = child_pids(os.getpid())
+    for pid in kids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return kids
+
+
 def _slow_square(n):
     time.sleep(0.05 * (4 - n))  # later items finish first
     return n * n
@@ -138,6 +163,71 @@ class TestOrderedMap:
         with pytest.raises(parallel.WorkerError, match="code 7"):
             parallel.ordered_map(os._exit, [7, 7, 7], jobs=2)
         assert child_pids(os.getpid()) == set()
+
+
+def _two_mib(n):
+    return bytes([n]) * (2 << 20)
+
+
+def _print_square(n):
+    print(f"child {n}")
+    return n * n
+
+
+class TestForkProtocol:
+    @needs_proc
+    def test_result_larger_than_the_pipe_buffer_comes_back_intact(self, two_cpus):
+        with raising_after(30):
+            results = parallel.ordered_map(_two_mib, range(3), jobs=2)
+        assert results == [_two_mib(n) for n in range(3)]
+        assert child_pids(os.getpid()) == set()
+
+    def test_output_is_written_once_through_a_piped_stdout(self, monkeypatch, two_cpus):
+        # A pipe is block-buffered, so a line the parent has not flushed
+        # when it forks is copied into every child.
+        reader, writer = os.pipe()
+        piped = os.fdopen(writer, "w")
+        monkeypatch.setattr(sys, "stdout", piped)
+        print("before")
+        assert parallel.ordered_map(_print_square, range(3), jobs=2) == [0, 1, 4]
+        print("after")
+        piped.close()
+        with os.fdopen(reader) as pipe:
+            lines = pipe.read().splitlines()
+        assert lines[0] == "before" and lines[-1] == "after"
+        assert sorted(lines[1:-1]) == ["child 0", "child 1", "child 2"]
+
+    @needs_proc
+    def test_hung_children_are_killed_and_reaped_when_the_parent_raises(self, two_cpus):
+        start = time.monotonic()
+        with pytest.raises(TimeoutError), raising_after(0.5):
+            parallel.ordered_map(time.sleep, [30, 30, 30], jobs=2)
+        assert time.monotonic() - start < 5
+        assert reap_children() == set()  # zombies count as left behind
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ("sweep --base {scn} --variants RED_1,RED_3 --tcp reno --delays-ms 15 "
+         "--jobs 2 --out {out}", ["pickle", "select"]),
+        ("run --scenario {scn} --out {out}", []),
+    ], ids=["parallel-sweep", "serial-run"])
+    def test_fresh_interpreter_prints_once_and_loads_no_multiprocessing(self, tmp_path,
+                                                                          argv, loaded):
+        path = tmp_path / "par.scn"
+        path.write_text(SMALL_TEXT)
+        argv = argv.format(scn=path, out=tmp_path / "out.csv").split()
+        # stdout is a pipe and buffering is left on, so "before" sits
+        # unflushed in the buffer when the sweep forks, and must still be
+        # written once.
+        code = ("import os, sys; os.cpu_count = lambda: 2\n"
+                "from redqsim.cli import main\n"
+                "print('before')\n"
+                "rc = main(sys.argv[1:])\n"
+                "print(rc, *[m for m in ('multiprocessing', 'pickle', 'select')"
+                " if m in sys.modules])")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=60, env=dict(env, PYTHONPATH=str(SRC)))
+        assert done.stdout.split() == ["before", "0", *loaded], done.stderr
 
 
 def _no_fork(*_args, **_kwargs):
