@@ -22,7 +22,9 @@ Scenario files are declarative plain text, versioned by a ``schema = 1`` field::
     mtu = 1500
 
 Blank lines and ``#`` comments are ignored.  Unknown keys are rejected by
-name.  Every group section needs ``flows`` and ``mtu``.
+name.  Every group section needs ``flows`` and ``mtu``.  ``name`` is
+written unquoted into every CSV row, so it may hold no comma, double quote
+or line break.
 
 CSV schema (fixed column order, 6 significant digits for real numbers)::
 
@@ -46,7 +48,8 @@ cell order, so the output, exit code included, is byte-identical to
 ``--jobs 1``, the default, which runs every cell in this process.
 
 Exit codes: 0 success; 1 validator threshold breach; 2 configuration error
-(message names the offending field); 3 runtime diagnostic, printed to
+(message names the offending field; an ``--out`` path that cannot be opened
+for writing is one too, found before any run); 3 runtime diagnostic, printed to
 stderr: a stalled run (the event queue drained before the configured
 duration, or no packet reached the bottleneck) or a bottleneck audit that
 is not conserved (the message names the broken identity).  A sweep exits
@@ -56,6 +59,7 @@ with the worst code of its cells.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import itertools
@@ -275,13 +279,20 @@ def report_rows(report: RunReport) -> list[str]:
     return rows
 
 
-def _write_csv(lines: list[str], out_path: str | None, stdout: io.TextIOBase) -> None:
-    body = "\n".join([",".join(CSV_COLUMNS)] + lines) + "\n"
+def _open_out(out_path: str | None, stdout: io.TextIOBase):
+    """The CSV destination as a context manager: stdout, left open, or the
+    --out file, opened (and truncated) now so that a path that cannot be
+    written fails before any run."""
     if out_path is None:
-        stdout.write(body)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(body)
+        return contextlib.nullcontext(stdout)
+    try:
+        return open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out_path!r}: {exc.strerror}") from None
+
+
+def _write_csv(lines: list[str], out: io.TextIOBase) -> None:
+    out.write("\n".join([",".join(CSV_COLUMNS)] + lines) + "\n")
 
 
 def _resolve_seed(flag_seed: int | None, env: dict, file_seed: int) -> int:
@@ -317,11 +328,13 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
         seed = _resolve_seed(seed_override, env, scenario.seed)
         if seed != scenario.seed:
             scenario = scenario.with_seed(seed)
+        out = _open_out(out_path, stdout)
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    report = run_scenario(scenario)
-    _write_csv(report_rows(report), out_path, stdout)
+    with out as handle:
+        report = run_scenario(scenario)
+        _write_csv(report_rows(report), handle)
     problems = runtime_problems(report)
     for line in problems:
         stderr.write(f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
@@ -375,6 +388,7 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
             raise ConfigError("sweep", "sweep needs at least one variant, one tcp, and one delay")
         if jobs < 1:
             raise ConfigError("jobs", f"--jobs must be >= 1, got {jobs}")
+        out = _open_out(out_path, stdout)
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
@@ -382,12 +396,13 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
     cells = sweep_cells(variants, tcps, delays, base_seed)
     lines: list[str] = []
     worst = EXIT_OK
-    for rows, messages, code in ordered_map(functools.partial(sweep_cell, base),
-                                            cells, jobs):
-        lines.extend(rows)
-        stderr.writelines(messages)
-        worst = max(worst, code)
-    _write_csv(lines, out_path, stdout)
+    with out as handle:
+        for rows, messages, code in ordered_map(functools.partial(sweep_cell, base),
+                                                cells, jobs):
+            lines.extend(rows)
+            stderr.writelines(messages)
+            worst = max(worst, code)
+        _write_csv(lines, handle)
     return worst
 
 

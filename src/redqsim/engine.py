@@ -327,6 +327,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("name", "must be non-empty")
+        if any(char in self.name for char in ',"\r\n'):
+            raise ConfigError("name", f"must hold no comma, double quote or line break "
+                                      f"(it is an unquoted CSV field), got {self.name!r}")
         for field_name, value in (
             ("duration_s", self.duration_s),
             ("warmup_s", self.warmup_s),

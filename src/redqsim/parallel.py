@@ -12,14 +12,17 @@ No child can outlive the call:
   ``os._exit``, never back into the caller's stack;
 - a child closes the read ends it inherited, so its write to a dead
   parent fails;
-- on Linux a child asks for SIGKILL when the thread that forked it dies
-  (``PR_SET_PDEATHSIG``), then exits at once if that parent is gone;
+- on Linux a child loads ``ctypes`` and asks libc's ``prctl`` for SIGKILL
+  when the thread that forked it dies (``PR_SET_PDEATHSIG``), then exits
+  at once if that parent is gone;
 - on any exception, the parent kills and reaps every live child.
 
-A child that raises sends back its traceback text, and the parent raises
-``WorkerError`` with it.  Where ``os.fork`` does not exist, every item
-runs in-process.  ``pickle`` and ``select`` are imported only for a
-parallel map, so a serial run does not load them.
+A child that raises, or cannot set that guard, sends back its traceback
+text, and the parent raises ``WorkerError`` with it.  Where ``os.fork``
+does not exist, every item runs in-process.  ``pickle`` and ``select``
+are imported only for a parallel map, so a serial run does not load
+them; ``ctypes`` is imported only in the children, so the parent never
+loads it.
 """
 
 from __future__ import annotations
@@ -47,33 +50,35 @@ def effective_jobs(jobs: int, item_count: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, item_count))
 
 
-@functools.cache
-def _prctl():
-    """libc's prctl on Linux, else None."""
-    if sys.platform.startswith("linux"):
-        import ctypes
-        return getattr(ctypes.CDLL(None), "prctl", None)
-
-
 def _child(fn, item, parent_pid, inherited, writer):
-    """Run fn(item) in a forked child and send the pickled outcome; never returns."""
+    """Run fn(item) in a forked child and send the pickled outcome; never returns.
+
+    The child resolves prctl itself, so the parent never loads ctypes.
+    Setting the death signal runs where an error in fn(item) would, so a
+    guard that cannot be set goes up as a traceback too.
+    """
     try:
         for reader in inherited:
             os.close(reader)
-        prctl = _prctl()
-        if prctl is not None:
-            prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-        if os.getppid() == parent_pid:
-            import pickle
-            try:
-                message = pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
-            except BaseException:
-                message = pickle.dumps((False, traceback.format_exc()))
-            with open(writer, "wb") as pipe:
-                pipe.write(message)
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(0)
+        import pickle
+        try:
+            if sys.platform.startswith("linux"):
+                import ctypes
+                prctl = ctypes.CDLL(None, use_errno=True).prctl
+                prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+                prctl.restype = ctypes.c_int
+                if prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0):
+                    raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+            if os.getppid() != parent_pid:
+                os._exit(1)  # the parent died before the guard was set
+            message = pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            message = pickle.dumps((False, traceback.format_exc()))
+        with open(writer, "wb") as pipe:
+            pipe.write(message)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(0)
     finally:
         os._exit(1)
 
@@ -110,7 +115,6 @@ def ordered_map(fn, items, jobs: int) -> list:
         return [fn(item) for item in items]
     import pickle
     import select
-    _prctl()  # resolve once, before the first fork
     results = [None] * len(items)
     pending = enumerate(items)
     live: dict = {}  # read fd -> (item index, pid)

@@ -394,6 +394,65 @@ class TestSweepCommand:
 
 
 # ---------------------------------------------------------------
+# bad input to run and sweep, caught before any run
+# ---------------------------------------------------------------
+
+commands = pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "{scn}"],
+    ["sweep", "--base", "{scn}", "--variants", "RED_1,RED_3", "--tcp", "reno",
+     "--delays-ms", "15"],
+], ids=["run", "sweep"])
+
+
+def _no_run(_scenario):
+    raise AssertionError("a scenario was run")
+
+
+class TestBadInputBeforeAnyRun:
+    @commands
+    def test_unwritable_out_exits_2_naming_it(self, scenario_file, tmp_path,
+                                              monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "run_scenario", _no_run)
+        out_path = tmp_path / "no-such-dir" / "x.csv"
+        argv = [arg.format(scn=scenario_file) for arg in argv] + ["--out", str(out_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: out: cannot write {str(out_path)!r}: ")
+        assert len(err.splitlines()) == 1
+
+    @commands
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"'], ids=["comma", "quote"])
+    def test_name_that_breaks_a_csv_field_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                   argv, name):
+        monkeypatch.setattr(cli, "run_scenario", _no_run)
+        path = tmp_path / "named.scn"
+        path.write_text(SCENARIO_TEXT.replace("name = cli-test", f"name = {name}"))
+        assert cli.main([arg.format(scn=path) for arg in argv]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: name: ")
+
+    @pytest.mark.parametrize("name", ["a\rb", "a\nb"], ids=["cr", "lf"])
+    def test_line_break_in_name_rejected(self, name):
+        scenario = cli.parse_scenario_text(SCENARIO_TEXT)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(scenario, name=name)
+        assert err.value.field == "name"
+
+    @commands
+    def test_out_file_holds_the_bytes_printed_to_stdout(self, scenario_file, tmp_path,
+                                                        capsys, argv):
+        argv = [arg.format(scn=scenario_file) for arg in argv]
+        assert cli.main(argv) == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        out_path = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out_path.read_bytes() == printed.encode()
+
+
+# ---------------------------------------------------------------
 # validate command
 # ---------------------------------------------------------------
 

@@ -238,6 +238,10 @@ MUTANTS = [
            "os.kill(pid, signal.SIGKILL)\n",
            on_two_cpus(lambda _mp: test_parallel.TestForkProtocol()
                        .test_hung_children_are_killed_and_reaped_when_the_parent_raises(None))),
+    Mutant("child never asks for SIGKILL on parent death", parallel, "_child",
+           "prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)", "None",
+           on_two_cpus(lambda _mp: test_parallel.TestForkProtocol()
+                       .test_every_child_asks_for_sigkill_on_parent_death(None))),
 ]
 
 

@@ -7,14 +7,17 @@ not after its own process is killed.
 
 import contextlib
 import dataclasses
+import errno
 import glob
 import io
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -50,6 +53,10 @@ mtu = 375
 
 needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
                                 reason="process table read from Linux /proc")
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="the parent-death guard is Linux prctl")
+
+PR_GET_PDEATHSIG = 2
 
 
 def child_pids(pid: int) -> set[int]:
@@ -174,6 +181,25 @@ def _print_square(n):
     return n * n
 
 
+def _death_signal(_item):
+    """The signal this process is sent when its parent dies, 0 for none."""
+    import ctypes
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    signum = ctypes.c_int(-1)
+    if prctl(PR_GET_PDEATHSIG, ctypes.byref(signum), 0, 0, 0):
+        raise OSError(ctypes.get_errno(), "prctl(PR_GET_PDEATHSIG) failed")
+    return signum.value
+
+
+def _no_libc(*_args, **_kwargs):
+    raise OSError("stub: libc cannot be loaded")
+
+
+def _refusing_libc(*_args, **_kwargs):
+    """A libc whose prctl fails with EINVAL."""
+    return types.SimpleNamespace(prctl=lambda *_args: -1)
+
+
 class TestForkProtocol:
     @needs_proc
     def test_result_larger_than_the_pipe_buffer_comes_back_intact(self, two_cpus):
@@ -205,6 +231,29 @@ class TestForkProtocol:
         assert time.monotonic() - start < 5
         assert reap_children() == set()  # zombies count as left behind
 
+    @linux_only
+    def test_every_child_asks_for_sigkill_on_parent_death(self, two_cpus):
+        # fork clears the setting, so each child must ask for it itself.
+        assert parallel.ordered_map(_death_signal, range(3), jobs=2) == [signal.SIGKILL] * 3
+
+    @linux_only
+    @needs_proc
+    # ctypes stand-ins for the child: libc does not load, or prctl fails.
+    @pytest.mark.parametrize("stub, error", [
+        (types.SimpleNamespace(CDLL=_no_libc), "OSError: stub: libc cannot be loaded"),
+        (types.SimpleNamespace(CDLL=_refusing_libc, c_int=None, c_ulong=None,
+                               get_errno=lambda: errno.EINVAL),
+         "OSError: [Errno 22] prctl(PR_SET_PDEATHSIG) failed"),
+    ], ids=["no-libc", "prctl-fails"])
+    def test_guard_that_cannot_be_set_is_raised_with_its_traceback(self, monkeypatch,
+                                                                   two_cpus, stub, error):
+        monkeypatch.setitem(sys.modules, "ctypes", stub)
+        with pytest.raises(parallel.WorkerError) as err:
+            parallel.ordered_map(abs, range(3), jobs=2)
+        assert re.match(r"item [01] raised in its child:", str(err.value))
+        assert error in str(err.value)
+        assert child_pids(os.getpid()) == set()
+
     @pytest.mark.parametrize("argv, loaded", [
         ("sweep --base {scn} --variants RED_1,RED_3 --tcp reno --delays-ms 15 "
          "--jobs 2 --out {out}", ["pickle", "select"]),
@@ -222,7 +271,7 @@ class TestForkProtocol:
                 "from redqsim.cli import main\n"
                 "print('before')\n"
                 "rc = main(sys.argv[1:])\n"
-                "print(rc, *[m for m in ('multiprocessing', 'pickle', 'select')"
+                "print(rc, *[m for m in ('ctypes', 'multiprocessing', 'pickle', 'select')"
                 " if m in sys.modules])")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
