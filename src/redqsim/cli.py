@@ -21,10 +21,11 @@ Scenario files are declarative plain text, versioned by a ``schema = 1`` field::
     flows = 20
     mtu = 1500
 
-Blank lines and ``#`` comments are ignored.  Unknown keys are rejected by
-name.  Every group section needs ``flows`` and ``mtu``.  ``name`` is
-written unquoted into every CSV row, so it may hold no comma, double quote
-or line break.
+Blank lines and comments are ignored; a comment starts at a ``#`` at the
+start of a line or after whitespace, so ``name = run#2`` keeps its ``#2``.
+Unknown keys are rejected by name.  Every group section needs ``flows`` and
+``mtu``.  ``name`` is written unquoted into every CSV row, so it may hold no
+comma, double quote or line break.
 
 CSV schema (fixed column order, 6 significant digits for real numbers)::
 
@@ -36,7 +37,8 @@ One row per MTU group; the seed lands in every row so any row can be
 reproduced in isolation.
 
 Seed precedence: ``--seed`` flag > ``REDQSIM_SEED`` environment variable >
-``seed`` key in the scenario file > 1.
+``seed`` key in the scenario file > 1.  A negative seed from any of them,
+a sweep's base seed included, exits 2 naming ``seed`` before any run.
 
 Sweep cells are ordered variant-major, then tcp, then delay; the cell at
 index ``i`` runs with seed ``(base_seed * 1000003 + i) % 2**31`` so any cell
@@ -64,6 +66,7 @@ import functools
 import io
 import itertools
 import os
+import re
 import sys
 
 from .droplaw import (
@@ -135,6 +138,8 @@ _OPTIONAL_KEYS = {
 
 _GROUP_KEYS = ("flows", "mtu")
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 
 # ---------------------------------------------------------------------------
 # scenario file parsing
@@ -168,7 +173,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
     section: dict[str, str] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip() if "#" in raw else raw.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -325,9 +330,7 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
     env = os.environ if env is None else env
     try:
         scenario = load_scenario(scenario_path)
-        seed = _resolve_seed(seed_override, env, scenario.seed)
-        if seed != scenario.seed:
-            scenario = scenario.with_seed(seed)
+        scenario = scenario.with_seed(_resolve_seed(seed_override, env, scenario.seed))
         out = _open_out(out_path, stdout)
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
@@ -377,7 +380,7 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
     env = os.environ if env is None else env
     try:
         base = load_scenario(base_path)
-        base_seed = _resolve_seed(seed_override, env, base.seed)
+        base = base.with_seed(_resolve_seed(seed_override, env, base.seed))
         variants = [_parse_red_variant(v) for v in variants_arg.split(",") if v.strip()]
         tcps = [_parse_tcp_variant(t) for t in tcp_arg.split(",") if t.strip()]
         try:
@@ -393,7 +396,7 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 
-    cells = sweep_cells(variants, tcps, delays, base_seed)
+    cells = sweep_cells(variants, tcps, delays, base.seed)
     lines: list[str] = []
     worst = EXIT_OK
     with out as handle:

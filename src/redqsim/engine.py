@@ -33,6 +33,12 @@ order, so that event serves it and schedules only its arrival at the
 sender.  Tie rule: a departure at the instant an ACK arrives leaves
 first, which matters only when the queue is full then.
 
+The report reads a per-group ledger (DumbbellSim.ledger) whose rows
+count, from the start of the run, the bottleneck's arrivals, accepts and
+drops by cause, then the group's delivered bytes, timeouts, fast
+retransmits and retransmits.  The warmup event stores one as the mark
+and run() takes another: the window is end minus mark, row by row.
+
 A simulator connects the bottleneck's receiver events to itself only
 inside run(), and drops the events still pending past the horizon
 when run() returns or raises.  Outside run() it therefore holds no
@@ -42,7 +48,6 @@ with no work left for the cyclic garbage collector.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import heapq
@@ -135,41 +140,6 @@ class EventQueue:
 # router queues and links
 # ---------------------------------------------------------------
 
-PER_GROUP_TALLIES = ("arrivals", "accepted", "drops_random",
-                     "drops_forced_avg", "drops_buffer")
-
-
-class QueueCounters:
-    """Per-group arrival and verdict tallies at one queue, plus totals.
-
-    Accepts are counted, not inferred from arrivals minus drops, so the
-    conservation audit can see a packet that arrived and got no verdict.
-    Subtracting the copy taken at the warmup boundary from the final
-    counters gives the measurement window, which keeps the final max_q.
-    """
-
-    def __init__(self, n_groups: int):
-        self.arrivals = [0] * n_groups
-        self.accepted = [0] * n_groups
-        self.drops_random = [0] * n_groups
-        self.drops_forced_avg = [0] * n_groups
-        self.drops_buffer = [0] * n_groups
-        self.departed = 0
-        self.max_q = 0
-
-    def copy(self) -> "QueueCounters":
-        return copy.deepcopy(self)
-
-    def __sub__(self, mark: "QueueCounters") -> "QueueCounters":
-        out = self.copy()
-        for name in PER_GROUP_TALLIES:
-            getattr(out, name)[:] = [
-                x - y for x, y in zip(getattr(self, name), getattr(mark, name))
-            ]
-        out.departed -= mark.departed
-        return out
-
-
 class Link:
     """One-way FIFO link: serialization, then propagation.
 
@@ -221,6 +191,11 @@ class Bottleneck(Link):
     length) is judged by judge(q, packet_len, u) -> Verdict, as a bound
     red.decide is, and tallied by group with its verdict.
 
+    Whole-run tallies: arrivals, accepted, drops_random, drops_forced_avg
+    and drops_buffer hold one count per group, the ledger's first five
+    columns; departed counts departures and max_q is the peak occupancy.
+    Accepts are counted, so the audit sees a packet that got no verdict.
+
     The far end has no event.  A departure is tallied and goes straight
     to its flow's receive clock, the receive access link's next idle
     time: with arrive = now + prop_delay_s, the clock moves to
@@ -251,40 +226,45 @@ class Bottleneck(Link):
         self.judge = judge
         self.rng = rng
         self.group_of = group_of
-        self.counters = QueueCounters(n_groups)
+        self.arrivals = [0] * n_groups
+        self.accepted = [0] * n_groups
+        self.drops_random = [0] * n_groups
+        self.drops_forced_avg = [0] * n_groups
+        self.drops_buffer = [0] * n_groups
+        self.departed = 0
+        self.max_q = 0
         self.recv_rate_bps = recv_rate_bps
         self.recv_delay_s = recv_delay_s
         self.recv_free_at = [0.0] * n_flows
 
     def send(self, seg: Segment) -> None:
-        c = self.counters
         g = self.group_of(seg.flow_id)
         backlog = self.backlog
         q = len(backlog)
-        c.arrivals[g] += 1
+        self.arrivals[g] += 1
         verdict = self.judge(q, seg.wire_bytes, self.rng.random())
         if verdict is ACCEPT:
-            c.accepted[g] += 1
-            if q >= c.max_q:
-                c.max_q = q + 1
+            self.accepted[g] += 1
+            if q >= self.max_q:
+                self.max_q = q + 1
             backlog.append(seg)
             if not q:
                 eq = self.eq
                 eq.schedule_at(eq.now + seg.wire_bytes * 8.0 / self.rate_bps,
                                LINK_DONE, self._finish_service)
         elif verdict is RANDOM_DROP:
-            c.drops_random[g] += 1
+            self.drops_random[g] += 1
         elif verdict is FORCED_DROP_AVG:
-            c.drops_forced_avg[g] += 1
+            self.drops_forced_avg[g] += 1
         else:
-            c.drops_buffer[g] += 1
+            self.drops_buffer[g] += 1
 
     def _finish_service(self) -> None:
         backlog = self.backlog
         seg = backlog.popleft()
         eq = self.eq
         now = eq.now
-        self.counters.departed += 1
+        self.departed += 1
         arrive = now + self.prop_delay_s
         clocks = self.recv_free_at
         free = clocks[seg.flow_id]
@@ -521,10 +501,23 @@ class DumbbellSim:
         out = flow.sender.start(self.eq.now)
         self._transmit(flow, out)
 
-    def _take_warmup_marks(self) -> None:
-        self._warmup_counters = self.bottleneck_link.counters.copy()
-        self._warmup_delivered = [f.receiver.delivered_bytes for f in self.flows]
-        self._warmup_health = [_health(f.sender) for f in self.flows]
+    def ledger(self) -> list[list[int]]:
+        """One row per group: the bottleneck's five tallies, then the sums of
+        its flows' delivered bytes, timeouts, fast retransmits and retransmits."""
+        link = self.bottleneck_link
+        rows = [[*tallies, 0, 0, 0, 0] for tallies in zip(
+            link.arrivals, link.accepted, link.drops_random,
+            link.drops_forced_avg, link.drops_buffer)]
+        for idx, flow in enumerate(self.flows):
+            row = rows[self.group_of(idx)]
+            row[5] += flow.receiver.delivered_bytes
+            row[6] += flow.sender.timeouts
+            row[7] += flow.sender.fast_retransmits
+            row[8] += flow.sender.retransmits
+        return rows
+
+    def _take_warmup_mark(self) -> None:
+        self._mark = self.ledger()
 
     def run(self) -> metrics.RunReport:
         if self._finished:
@@ -537,7 +530,7 @@ class DumbbellSim:
             )
         # warmup_s < duration_s, so this always fires before the run ends.
         self.eq.schedule_at(
-            sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_marks
+            sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_mark
         )
         # The far-end callback and the pending events are the only edges
         # back to self, so both live only while events are dispatched.
@@ -547,31 +540,11 @@ class DumbbellSim:
         finally:
             self.bottleneck_link.deliver = None
             self.eq.clear()
-        counters = self.bottleneck_link.counters
+        link = self.bottleneck_link
         return metrics.build_run_report(
-            scenario=sc,
-            group_of=self.group_of,
-            delivered_delta=[
-                f.receiver.delivered_bytes - base
-                for f, base in zip(self.flows, self._warmup_delivered)
-            ],
-            health_delta=[
-                tuple(now - base for now, base in zip(_health(f.sender), mark))
-                for f, mark in zip(self.flows, self._warmup_health)
-            ],
-            window=counters - self._warmup_counters,
-            whole_run=counters,
-            reverse_arrivals=self.reverse_arrivals,
-            reverse_drops=self.reverse_drops,
-            residual_q=len(self.bottleneck_link.backlog),
-            event_count=self.eq.event_count,
-            drained=drained,
-        )
-
-
-def _health(sender: TcpSender) -> tuple[int, int, int]:
-    """A sender's (timeouts, fast_retransmits, retransmits) counters."""
-    return sender.timeouts, sender.fast_retransmits, sender.retransmits
+            sc, self._mark, self.ledger(), link.departed, len(link.backlog),
+            link.max_q, self.reverse_arrivals, self.reverse_drops,
+            self.eq.event_count, drained)
 
 
 def run_scenario(scenario: Scenario, judge=None) -> metrics.RunReport:

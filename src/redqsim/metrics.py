@@ -9,9 +9,13 @@ departed or still sits in the queue.  Arrivals, accepts, drops and
 departures are each counted where they happen, so either identity can
 fail when the queue loses track of a packet.
 
-Each group's timeouts, fast_retransmits and retransmits are the sums of
-its senders' counters over the same window, from marks taken at warmup;
-they are read only when the report is built and do not reach the CSV.
+All of it comes from one per-group ledger taken at warmup (the mark)
+and at the end: a row per group of the bottleneck's arrivals, accepted,
+drops_random, drops_forced_avg and drops_buffer, then the group's
+delivered bytes, timeouts, fast_retransmits and retransmits, each
+counted from the start of the run.  The window is end minus mark; the
+audit reads the end.  The TCP health columns do not reach the CSV, and
+total_goodput_bps sums the group goodputs.
 
 RunReport.reverse_arrivals and reverse_drops tally the acknowledgment
 queue over the whole run, in the receiver event one access delay before
@@ -115,84 +119,45 @@ def loss_ratio(drops: int, arrivals: int) -> float | None:
     return drops / arrivals
 
 
-def build_run_report(
-    scenario,
-    group_of,
-    delivered_delta: list[int],
-    health_delta: list[tuple[int, int, int]],
-    window,
-    whole_run,
-    reverse_arrivals: int,
-    reverse_drops: int,
-    residual_q: int,
-    event_count: int,
-    drained: bool,
-) -> RunReport:
-    """Assemble a run's report from its queue counters.
+def build_run_report(scenario, mark: list[list[int]], end: list[list[int]],
+                     departed: int, residual_q: int, max_q: int,
+                     reverse_arrivals: int, reverse_drops: int, event_count: int,
+                     drained: bool) -> RunReport:
+    """Assemble a run's report from its warmup and end ledgers.
 
-    window holds the bottleneck tallies of the measurement window (final
-    counters minus the warmup copy), whole_run the final ones, reverse_*
-    the acknowledgment-direction queue's tallies; delivered_delta is the
-    per-flow unique payload delivered in the window, health_delta each
-    flow's (timeouts, fast_retransmits, retransmits) in it, and drained tells
-    whether the event queue ran dry before the configured duration.
-    A run with flows is stalled if it drained or if no packet ever
-    reached the bottleneck.
+    The window is end minus mark, row by row; the audit sums end's five
+    bottleneck columns, in BottleneckAudit's field order, and takes the
+    bottleneck's departed, residual_q and max_q.  reverse_* are the
+    acknowledgment queue's tallies, and drained tells whether the event
+    queue ran dry before the configured duration.  A run with flows is
+    stalled if it drained or if no packet ever reached the bottleneck.
     """
     interval_s = scenario.duration_s - scenario.warmup_s
-    group_delivered = [0] * len(scenario.groups)
-    group_health = [[0, 0, 0] for _ in scenario.groups]
-    for idx, (delta, health) in enumerate(zip(delivered_delta, health_delta)):
-        g_idx = group_of(idx)
-        group_delivered[g_idx] += delta
-        group_health[g_idx] = [x + y for x, y in zip(group_health[g_idx], health)]
-
+    audit = BottleneckAudit(*(sum(row[k] for row in end) for k in range(5)),
+                            departed, residual_q, max_q)
     diagnostics = []
-    if delivered_delta and drained:
+    if end and drained:
         diagnostics.append(
             "stalled: event queue drained before the configured duration")
-    if delivered_delta and sum(whole_run.arrivals) == 0:
+    if end and audit.arrivals == 0:
         diagnostics.append("stalled: no packet reached the bottleneck in "
                            f"{scenario.duration_s:g} s")
     stalled = bool(diagnostics)
     groups = []
-    for g_idx, group in enumerate(scenario.groups):
-        d_rand = window.drops_random[g_idx]
-        d_avg = window.drops_forced_avg[g_idx]
-        d_buf = window.drops_buffer[g_idx]
-        plr = loss_ratio(d_rand + d_avg + d_buf, window.arrivals[g_idx])
+    for group, end_row, mark_row in zip(scenario.groups, end, mark):
+        (arrivals, _accepted, d_rand, d_avg, d_buf, delivered, timeouts,
+         fast_retransmits, retransmits) = (e - m for e, m in zip(end_row, mark_row))
+        plr = loss_ratio(d_rand + d_avg + d_buf, arrivals)
         if plr is None:
             diagnostics.append(
                 f"group {group.name!r}: no bottleneck arrivals in the "
                 "measurement window, loss ratio omitted"
             )
-        groups.append(
-            GroupStats(
-                name=group.name,
-                mtu=group.mtu,
-                flow_count=group.flow_count,
-                goodput_bps=goodput_bps(group_delivered[g_idx], interval_s),
-                plr=plr,
-                arrivals=window.arrivals[g_idx],
-                drops_random=d_rand,
-                drops_forced_avg=d_avg,
-                drops_buffer=d_buf,
-                timeouts=group_health[g_idx][0],
-                fast_retransmits=group_health[g_idx][1],
-                retransmits=group_health[g_idx][2],
-            )
-        )
+        groups.append(GroupStats(
+            group.name, group.mtu, group.flow_count,
+            goodput_bps(delivered, interval_s), plr, arrivals, d_rand, d_avg,
+            d_buf, timeouts, fast_retransmits, retransmits))
 
-    audit = BottleneckAudit(
-        arrivals=sum(whole_run.arrivals),
-        accepted=sum(whole_run.accepted),
-        drops_random=sum(whole_run.drops_random),
-        drops_forced_avg=sum(whole_run.drops_forced_avg),
-        drops_buffer=sum(whole_run.drops_buffer),
-        departed=whole_run.departed,
-        residual_q=residual_q,
-        max_q=whole_run.max_q,
-    )
     return RunReport(
         scenario_name=scenario.name,
         red_variant=scenario.red_variant.value,
@@ -202,8 +167,7 @@ def build_run_report(
         duration_s=scenario.duration_s,
         warmup_s=scenario.warmup_s,
         groups=tuple(groups),
-        total_goodput_bps=sum(goodput_bps(delta, interval_s)
-                              for delta in delivered_delta),
+        total_goodput_bps=sum(g.goodput_bps for g in groups),
         bottleneck=audit,
         reverse_arrivals=reverse_arrivals,
         reverse_drops=reverse_drops,

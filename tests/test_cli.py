@@ -158,10 +158,14 @@ class TestScenarioParsing:
         assert err.value.field == "red_variant"
 
     def test_comments_and_blank_lines_ignored(self):
+        # A "#" starts a comment only at the start of a line or after
+        # whitespace, so one inside a value is part of it.
         text = "# leading comment\n\n" + SCENARIO_TEXT.replace(
-            "min_th = 40", "min_th = 40   # packets")
+            "min_th = 40", "min_th = 40   # packets").replace(
+            "name = cli-test", "name = run#2")
         sc = cli.parse_scenario_text(text)
         assert sc.red.min_th == 40.0
+        assert sc.name == "run#2"
 
     @pytest.mark.parametrize("old, new, field", [
         ("w_q = 0.002", "w_q = tiny", "w_q"),
@@ -432,6 +436,20 @@ class TestBadInputBeforeAnyRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: name: ")
+
+    @commands
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")],
+                             ids=["flag", "env"])
+    def test_negative_seed_exits_2_naming_it(self, scenario_file, monkeypatch, capsys,
+                                             argv, flag, env):
+        monkeypatch.setattr(cli, "run_scenario", _no_run)
+        if env is not None:
+            monkeypatch.setenv("REDQSIM_SEED", env)
+        argv = [arg.format(scn=scenario_file) for arg in argv] + flag
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: seed: must be >= 0\n"
 
     @pytest.mark.parametrize("name", ["a\rb", "a\nb"], ids=["cr", "lf"])
     def test_line_break_in_name_rejected(self, name):

@@ -197,7 +197,7 @@ class TestTopology:
         assert got == {0: clock_0 + recv_delay, 1: clock_0 + recv_tx + recv_delay,
                        2: clock_1 + recv_delay}
         assert link.recv_free_at == [clock_0 + recv_tx, clock_1]
-        assert link.counters.departed == 3
+        assert link.departed == 3
 
     def test_ack_queue_departure_leaves_before_a_same_time_arrival(self):
         # A one-ACK return queue with no access delay: the first ACK
@@ -253,7 +253,7 @@ class TestConservation:
             if seen[0] % 50:
                 send(link, seg)
             else:
-                link.counters.arrivals[link.group_of(seg.flow_id)] += 1
+                link.arrivals[link.group_of(seg.flow_id)] += 1
 
         monkeypatch.setattr(Bottleneck, "send", leaky_send)
         report = run_scenario(make_scenario(duration_s=6.0, warmup_s=1.0))
@@ -271,11 +271,11 @@ class TestConservation:
                           100e6, 0.0, 1)
         for _ in range(5):
             link.send(Segment(0, seq=0, payload=1460))
-        c = link.counters
-        assert (c.arrivals, c.accepted, c.drops_buffer, c.max_q) == ([5], [3], [2], 3)
+        assert (link.arrivals, link.accepted, link.drops_buffer, link.max_q) == (
+            [5], [3], [2], 3)
         assert len(link.backlog) == 3
         eq.run(until=1.0)
-        assert (c.departed, len(link.backlog)) == (3, 0)
+        assert (link.departed, len(link.backlog)) == (3, 0)
 
     def test_occupancy_never_exceeds_buffer_cap(self):
         report = run_scenario(make_scenario(duration_s=6.0, warmup_s=1.0))
@@ -335,28 +335,46 @@ class TestBehavior:
                    for f in sim.flows)
 
     def test_group_tcp_health_sums_sender_counters_over_the_window(self, monkeypatch):
-        # Each group's timeouts, fast retransmits and retransmits are its
-        # senders' counters at the end minus their values at warmup.
+        # Every windowed group figure is its end value minus its value at
+        # warmup: the bottleneck's arrivals and drops by cause, and the
+        # senders' timeouts, fast retransmits and retransmits.  Goodput is
+        # the receivers' delivered bytes in the window over the window.
+        # The RED_1 gatekeeper leaves every one of them nonzero at warmup.
+        tallies = ("arrivals", "drops_random", "drops_forced_avg", "drops_buffer")
         names = ("timeouts", "fast_retransmits", "retransmits")
-        marks = []
-        take = DumbbellSim._take_warmup_marks
+        marks, delivered_marks, link_marks = [], [], {}
+        take = DumbbellSim._take_warmup_mark
 
         def recording_take(sim):
             marks.extend([getattr(f.sender, n) for n in names] for f in sim.flows)
+            delivered_marks.extend(f.receiver.delivered_bytes for f in sim.flows)
+            link_marks.update((n, list(getattr(sim.bottleneck_link, n))) for n in tallies)
             take(sim)
 
-        monkeypatch.setattr(DumbbellSim, "_take_warmup_marks", recording_take)
-        sim = DumbbellSim(make_scenario(duration_s=6.0, warmup_s=2.0),
-                          judge=bernoulli_judge(0.05, 200))
+        monkeypatch.setattr(DumbbellSim, "_take_warmup_mark", recording_take)
+        sc = make_scenario(duration_s=6.0, warmup_s=2.0)
+        sim = DumbbellSim(sc)
         report = sim.run()
         want = [[0, 0, 0] for _ in report.groups]
-        for idx, (flow, mark) in enumerate(zip(sim.flows, marks)):
+        delivered = [0] * len(report.groups)
+        for idx, (flow, mark, base) in enumerate(zip(sim.flows, marks, delivered_marks)):
+            g_idx = sim.group_of(idx)
+            delivered[g_idx] += flow.receiver.delivered_bytes - base
             for k, name in enumerate(names):
-                want[sim.group_of(idx)][k] += getattr(flow.sender, name) - mark[k]
+                want[g_idx][k] += getattr(flow.sender, name) - mark[k]
         got = [[getattr(g, n) for n in names] for g in report.groups]
         assert got == want
         assert all(g.timeouts > 0 and g.fast_retransmits > 0 for g in report.groups)
         assert any(m != [0, 0, 0] for m in marks)
+        link = sim.bottleneck_link
+        for name in tallies:
+            assert all(link_marks[name]), name
+            assert [getattr(g, name) for g in report.groups] == [
+                end - base for end, base in zip(getattr(link, name), link_marks[name])]
+        interval_s = sc.duration_s - sc.warmup_s
+        assert all(delivered_marks)
+        assert [g.goodput_bps for g in report.groups] == [
+            d * 8.0 / interval_s for d in delivered]
         # The CSV does not read them.
         blank = dataclasses.replace(report, groups=tuple(
             dataclasses.replace(g, timeouts=0, fast_retransmits=0, retransmits=0)

@@ -33,7 +33,7 @@ import test_parallel
 import test_red
 import test_sender_model
 import test_tcp
-from redqsim import droplaw, engine, parallel, red, tcp
+from redqsim import droplaw, engine, metrics, parallel, red, tcp
 from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
@@ -166,13 +166,19 @@ MUTANTS = [
            lambda mp: test_engine.TestTopology()
            .test_lone_flow_first_ack_crosses_every_hop_once(mp)),
     Mutant("leaky admission, random drops untallied", engine.Bottleneck,
-           "send", "c.drops_random[g] += 1\n", "pass\n",
+           "send", "self.drops_random[g] += 1\n", "pass\n",
            lambda _mp: test_engine.TestConservation()
            .test_bottleneck_audit_conserves_packets(RedVariant.RED_1)),
     Mutant("bottleneck departure untallied", engine.Bottleneck,
-           "_finish_service", "self.counters.departed += 1\n", "pass\n",
+           "_finish_service", "self.departed += 1\n", "pass\n",
            lambda _mp: test_engine.TestConservation()
            .test_bottleneck_audit_conserves_packets(RedVariant.RED_1)),
+    Mutant("window reads the end ledger without subtracting the warmup mark",
+           metrics, "build_run_report",
+           "(e - m for e, m in zip(end_row, mark_row))",
+           "(e for e, m in zip(end_row, mark_row))",
+           lambda mp: test_engine.TestBehavior()
+           .test_group_tcp_health_sums_sender_counters_over_the_window(mp)),
     Mutant("bottleneck delay skipped on the way to the receive clock",
            engine.Bottleneck, "_finish_service",
            "arrive = now + self.prop_delay_s\n", "arrive = now\n",
