@@ -8,7 +8,6 @@ from .red import (
     Verdict,
     compute_pb,
     on_packet_arrival,
-    update_avg,
 )
 from .droplaw import (
     InterdropLaw,
@@ -61,5 +60,4 @@ __all__ = [
     "on_packet_arrival",
     "run_scenario",
     "tv_distance",
-    "update_avg",
 ]

@@ -53,9 +53,11 @@ Exit codes: 0 success; 1 validator threshold breach; 2 configuration error
 (message names the offending field; an ``--out`` path that cannot be opened
 for writing is one too, found before any run); 3 runtime diagnostic, printed to
 stderr: a stalled run (the event queue drained before the configured
-duration, or no packet reached the bottleneck) or a bottleneck audit that
-is not conserved (the message names the broken identity).  A sweep exits
-with the worst code of its cells.
+duration, or no packet reached the bottleneck), a group with no bottleneck
+arrival in the measurement window (its ``plr`` field is empty), or a
+bottleneck audit that is not conserved (the message names the broken
+identity).  The CSV is written in full either way.  A sweep exits with the
+worst code of its cells.
 """
 
 from __future__ import annotations
@@ -313,8 +315,8 @@ def _resolve_seed(flag_seed: int | None, env: dict, file_seed: int) -> int:
 
 
 def runtime_problems(report: RunReport) -> list[str]:
-    """Why a run must exit 3: its stall diagnostics and broken identities."""
-    problems = list(report.diagnostics) if report.stalled else []
+    """Why a run must exit 3: its diagnostics and broken identities."""
+    problems = list(report.diagnostics)
     problems += [f"not conserved: {line}" for line in report.bottleneck.violations]
     return problems
 

@@ -8,7 +8,10 @@ one uniform draw per data arrival at the guarded bottleneck queue, in
 event order.  Every event goes through EventQueue.schedule_at, looked
 up on the queue at each call so that a wrapper installed on the class
 sees it, with a bound method or a functools.partial of one as its
-zero-argument handler, never a per-event closure.
+zero-argument handler, never a per-event closure.  EventQueue.run(until)
+ends at a stop entry that sorts after every event at until, so the loop
+makes no horizon test and keeps no count per event; event_count is
+derived from the pushes, the entries left and those dropped by clear().
 
 The topology is a dumbbell: every sender reaches the first router over
 its own access link, the two routers exchange traffic over a pair of
@@ -31,7 +34,11 @@ entry.  The return queue is a deque of departure times: every ACK
 reaches it one access delay after its receiver event, in receiver-event
 order, so that event serves it and schedules only its arrival at the
 sender.  Tie rule: a departure at the instant an ACK arrives leaves
-first, which matters only when the queue is full then.
+first, which matters only when the queue is full then.  Departure times
+never decrease and every ACK reaches its sender a fixed delay after its
+departure, so the ACK events fire in the order they were scheduled: the
+receiver event appends the ACK to one FIFO and schedules a bound method
+that pops the oldest, with no functools.partial per ACK.
 
 The report reads a per-group ledger (DumbbellSim.ledger) whose rows
 count, from the start of the run, the bottleneck's arrivals, accepts and
@@ -39,23 +46,23 @@ drops by cause, then the group's delivered bytes, timeouts, fast
 retransmits and retransmits.  The warmup event stores one as the mark
 and run() takes another: the window is end minus mark, row by row.
 
-A simulator connects the bottleneck's receiver events to itself only
-inside run(), and drops the events still pending past the horizon
-when run() returns or raises.  Outside run() it therefore holds no
-reference cycle, and it is freed as soon as its last reference goes,
-with no work left for the cyclic garbage collector.
+A simulator connects the bottleneck's receiver events and its ACK
+handler to itself only inside run(), and drops the events still pending
+past the horizon when run() returns or raises.  Outside run() it
+therefore holds no reference cycle, and it is freed as soon as its last
+reference goes, with no work left for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import heapq
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 from .red import VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide
@@ -97,40 +104,62 @@ class EventQueue:
     kind, fn) keeps that signature, and the kind is accepted but not
     stored, because instrumentation wraps it to count the events of
     each kind.
+
+    run(until) pushes one stop entry, (until, inf, None), which sorts
+    after every event at until, those scheduled during the run
+    included, and before every later one; popping it ends the run, so
+    the loop tests nothing else per event.  Nothing counts events as
+    they fire: every entry schedule_at pushed has fired, is still
+    pending or was dropped by clear(), and run() derives event_count
+    from those three.
     """
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, float, Callable[[], None] | None]] = []
         self._seq = 0
+        self._cleared = 0
         self.event_count = 0
 
     def schedule_at(self, when: float, kind: EventKind, fn: Callable[[], None]) -> None:
-        if when < self.now - 1e-12:
-            raise RuntimeError("cannot schedule into the past")
-        heapq.heappush(self._heap, (when, self._seq, fn))
+        # Written so that a NaN time fails too.
+        if not when >= self.now - 1e-12:
+            raise RuntimeError(f"cannot schedule an event at {when!r} (now {self.now!r})")
+        heappush(self._heap, (when, self._seq, fn))
         self._seq += 1
 
     def clear(self) -> None:
         """Drop every pending event, releasing its handler."""
+        self._cleared += len(self._heap)
         self._heap.clear()
 
     def run(self, until: float) -> bool:
         """Dispatch events up to and including time `until`.
 
-        Returns True if the queue drained before reaching `until`.
+        Returns True if the queue drained before reaching `until`.  A
+        handler that raises is counted, and its exception propagates
+        with the stop entry taken back out, so the queue can run again.
         """
+        # The stop entry is an event at until: one before now would move
+        # the clock back, and a NaN one would break the heap order.
+        if not until >= self.now:
+            raise RuntimeError(f"cannot run until {until!r} (now {self.now!r})")
         heap = self._heap
-        pop = heapq.heappop
-        count = self.event_count
+        stop = (until, math.inf, None)
+        heappush(heap, stop)
         try:
-            while heap and heap[0][0] <= until:
-                when, _seq, fn = pop(heap)
+            while True:
+                when, _seq, fn = heappop(heap)
+                if fn is None:
+                    break
                 self.now = when
-                count += 1
                 fn()
+        except BaseException:
+            heap.remove(stop)
+            heapify(heap)
+            raise
         finally:
-            self.event_count = count
+            self.event_count = self._seq - self._cleared - len(heap)
         drained = not heap and self.now < until
         self.now = until
         return drained
@@ -396,10 +425,10 @@ class DumbbellSim:
     departure from the bottleneck goes straight to its flow's receive
     clock inside Bottleneck, which schedules the receiver event.
 
-    The bottleneck's far end is connected only while run() dispatches
-    events, and run() drops the events still pending past the horizon
-    when it returns or raises; run() refuses a second call, so none of
-    them could fire.  Outside run() the simulator holds no reference
+    The bottleneck's far end and the ACK handler are connected only while
+    run() dispatches events, and run() drops the events still pending past
+    the horizon when it returns or raises; run() refuses a second call, so
+    none of them could fire.  Outside run() the simulator holds no reference
     cycle, so it is freed as soon as it is dropped.
     """
 
@@ -474,14 +503,27 @@ class DumbbellSim:
         start = departures[-1] if departures else arrive
         done = start + ack.wire_bytes * 8.0 / sc.bottleneck_rate_bps
         departures.append(done)
+        self._acks.append(ack)
         eq.schedule_at(
             (done + sc.bottleneck_delay_s) + sc.access_delay_s,
-            ARRIVAL, partial(self._ack_reaches_sender, ack),
+            ARRIVAL, self._deliver_ack,
         )
 
-    def _ack_reaches_sender(self, ack: Segment) -> None:
+    def _ack_reaches_sender(self) -> None:
+        # ACK events fire in the order they were scheduled (see the module
+        # docstring), so this one's ACK is the oldest in the FIFO.  The body
+        # is _transmit written out, which saves a frame per ACK.
+        ack = self._acks.popleft()
         flow = self.flows[ack.flow_id]
-        self._transmit(flow, flow.sender.on_ack(ack, self.eq.now))
+        sender = flow.sender
+        eq = self.eq
+        send = flow.access_link.send
+        for seg in sender.on_ack(ack, eq.now):
+            send(seg)
+        deadline = sender.rto_deadline
+        if deadline is not None and (flow.timer_at is None or deadline < flow.timer_at):
+            flow.timer_at = deadline
+            eq.schedule_at(deadline, TIMER, partial(self._on_timer, flow))
 
     # -------------------- timers --------------------
 
@@ -532,14 +574,19 @@ class DumbbellSim:
         self.eq.schedule_at(
             sc.warmup_s, EventKind.MEASUREMENT, self._take_warmup_mark
         )
-        # The far-end callback and the pending events are the only edges
-        # back to self, so both live only while events are dispatched.
+        self._acks: deque[Segment] = deque()  # ACKs due at the senders
+        # The far-end callback, the ACK handler and the pending events are
+        # the only edges back to self, so they live only while events are
+        # dispatched.
         self.bottleneck_link.deliver = self._data_reaches_receiver
+        self._deliver_ack = self._ack_reaches_sender
         try:
             drained = self.eq.run(sc.duration_s)
         finally:
             self.bottleneck_link.deliver = None
+            self._deliver_ack = None
             self.eq.clear()
+            self._acks.clear()
         link = self.bottleneck_link
         return metrics.build_run_report(
             sc, self._mark, self.ledger(), link.departed, len(link.backlog),

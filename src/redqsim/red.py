@@ -122,17 +122,6 @@ class DropDecision:
         return self.verdict is Verdict.ACCEPT
 
 
-def update_avg(state: RedState, params: RedParams, q_now: int) -> float:
-    """Fold the instantaneous queue size into the moving average.
-
-    Returns the new average and stores it on the state.  The average
-    moves toward q_now, so it always lands between the old average and
-    q_now.  No idle-time correction is applied.
-    """
-    state.avg = (1.0 - params.w_q) * state.avg + params.w_q * q_now
-    return state.avg
-
-
 def compute_pb(params: RedParams, avg: float) -> float:
     """Temporary drop probability for an average inside the random region.
 
@@ -145,37 +134,29 @@ def compute_pb(params: RedParams, avg: float) -> float:
     return params.max_p * (avg - params.min_th) / (params.max_th - params.min_th)
 
 
-# A variant row's formulas, shared by decide(), random_region_step() and
-# the drop-law harness.
-
-def _row_pa(row: tuple[int, int, int], powers: tuple, p_b: float, count: float) -> float:
-    # A non-positive denominator means the uniformization window is
-    # exhausted, so the packet drops with certainty.
-    num = powers[row[0]] * p_b
-    den = 1.0 - count * powers[row[1]] * p_b
-    if den <= 0.0:
-        return 1.0
-    p_a = num / den
-    if p_a < 0.0:
-        return 0.0
-    if p_a > 1.0:
-        return 1.0
-    return p_a
-
-
 def row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
              state: RedState, u: float) -> tuple[bool, float]:
     """Unchecked random-region decision with count bookkeeping.
 
     row is the variant's VARIANT_EXPONENTS entry and powers is
     (1.0, s, s * s) for s = L/M, built by the caller from an integer L in
-    (0, M].  Draws u against p_a, then resets the counter (drop) or
+    (0, M].  Computes p_a = s^a * p_b / (1 - count * s^b * p_b), clipped
+    to [0, 1], draws u against it, then resets the counter (drop) or
     advances it by powers[row[2]] (accept).  This is the step decide()
     takes inside the random region.  Since p_a <= 1, u = 1.0 never drops:
     the Monte Carlo drop-law harness steps with it to table p_a per gap
     position at frozen p_b.  Returns (dropped, p_a).
     """
-    p_a = _row_pa(row, powers, p_b, state.count)
+    den = 1.0 - state.count * powers[row[1]] * p_b
+    if den <= 0.0:
+        # The uniformization window is exhausted: a certain drop.
+        p_a = 1.0
+    else:
+        p_a = powers[row[0]] * p_b / den
+        if p_a < 0.0:
+            p_a = 0.0
+        elif p_a > 1.0:
+            p_a = 1.0
     if u < p_a:
         state.count = 0.0
         return True, p_a
@@ -206,11 +187,13 @@ def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
     row is the variant's VARIANT_EXPONENTS entry; the caller guarantees
     0 < packet_len <= max_packet_size and 0 <= u < 1.  Order: fold q
     into the average, reject on a full buffer, accept below min_th,
-    force-drop at or above max_th, otherwise draw against p_a.  Updates
-    avg and count, never q.  Bound to a state, params and row, it is a
-    bottleneck judge: (q, packet_len, u) -> Verdict.
+    force-drop at or above max_th, otherwise draw against p_a.  The
+    average moves toward q by the weight w_q, so it lands between the old
+    average and q; no idle-time correction is applied.  Updates avg and
+    count, never q.  Bound to a state, params and row, it is a bottleneck
+    judge: (q, packet_len, u) -> Verdict.
     """
-    avg = update_avg(state, params, q)
+    avg = state.avg = (1.0 - params.w_q) * state.avg + params.w_q * q
     if q >= params.buffer_cap:
         verdict = Verdict.FORCED_DROP_BUFFER
     elif avg < params.min_th:

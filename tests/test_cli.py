@@ -59,6 +59,24 @@ def starved_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def silent_window_file(tmp_path):
+    """Two groups whose packets reach the bottleneck only before warmup:
+    a 1 s run, warmup at 0.9999 s and a 300 ms bottleneck delay."""
+    text = SCENARIO_TEXT.replace("duration_s = 4\nwarmup_s = 1\n",
+                                 "duration_s = 1\nwarmup_s = 0.9999\n"
+                                 "bottleneck_delay_ms = 300\n")
+    text = text.replace("[group medium]\nflows = 2\nmtu = 750\n\n", "")
+    path = tmp_path / "window.scn"
+    path.write_text(text)
+    return str(path)
+
+
+SILENT_WINDOW_DIAGNOSTICS = [
+    f"group {name!r}: no bottleneck arrivals in the measurement window, "
+    "loss ratio omitted" for name in ("large", "small")]
+
+
 # Each breaks one conservation identity of a real report by one packet.
 leaks = pytest.mark.parametrize("field, delta, message", [
     ("arrivals", 1, "not conserved: arrivals "),
@@ -96,12 +114,12 @@ def run_cli(args_or_fn, **kwargs):
     return rc, out.getvalue(), err.getvalue()
 
 
-def sweep_two_cells(path, jobs, monkeypatch):
-    """Sweep RED_1 and RED_3 x Reno x 15 ms at `jobs`, with two CPUs, so
+def sweep_two_cells(path, jobs, monkeypatch, delay_ms="15"):
+    """Sweep RED_1 and RED_3 x Reno x delay_ms at `jobs`, with two CPUs, so
     jobs=2 forks a child per cell; return (rc, stdout, stderr)."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert parallel.effective_jobs(jobs, 2) == jobs
-    return run_cli(lambda **k: cli.cmd_sweep(path, "RED_1,RED_3", "reno", "15",
+    return run_cli(lambda **k: cli.cmd_sweep(path, "RED_1,RED_3", "reno", delay_ms,
                                               None, None, jobs, env={}, **k))
 
 
@@ -262,6 +280,15 @@ class TestRunCommand:
         assert "drained" not in err
         assert len(out.strip().splitlines()) == 1 + 3
 
+    def test_group_without_arrivals_in_the_window_exits_3(self, silent_window_file):
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_run(silent_window_file, None, None, env={}, **k))
+        assert rc == cli.EXIT_RUNTIME
+        assert err.splitlines() == [f"runtime diagnostic: scenario 'cli-test': {line}"
+                                    for line in SILENT_WINDOW_DIAGNOSTICS]
+        assert out.splitlines()[1:] == ["cli-test,RED_1,reno,300,1500,0,,0,0,0,0,5",
+                                        "cli-test,RED_1,reno,300,375,0,,0,0,0,0,5"]
+
     @leaks
     def test_unconserved_audit_exits_3_naming_identity(self, scenario_file, monkeypatch,
                                                        field, delta, message):
@@ -346,6 +373,21 @@ class TestSweepCommand:
         assert len(out.strip().splitlines()) == 1 + 2 * 3
         if jobs > 1:
             assert result == sweep_two_cells(starved_file, 1, monkeypatch)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_group_without_arrivals_in_the_window_exits_3(self, silent_window_file,
+                                                          monkeypatch, jobs):
+        rc, out, err = result = sweep_two_cells(silent_window_file, jobs, monkeypatch,
+                                                "300")
+        assert rc == cli.EXIT_RUNTIME
+        assert err.splitlines() == [
+            f"cell cli-test/{v}-reno-300ms: runtime diagnostic: {line}"
+            for v in ("RED_1", "RED_3") for line in SILENT_WINDOW_DIAGNOSTICS]
+        assert out.splitlines()[1:] == [
+            f"cli-test/{v}-reno-300ms,{v},reno,300,{mtu},0,,0,0,0,0,{seed}"
+            for v, seed in (("RED_1", 5000015), ("RED_3", 5000016)) for mtu in (1500, 375)]
+        if jobs > 1:
+            assert result == sweep_two_cells(silent_window_file, 1, monkeypatch, "300")
 
     @leaks
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -114,6 +114,84 @@ class TestEventQueue:
         eq.run(until=10.0)
         assert times == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
 
+    def test_nan_time_rejected(self):
+        eq = EventQueue()
+        with pytest.raises(RuntimeError):
+            eq.schedule_at(math.nan, EventKind.TIMER, lambda: None)
+        times = []
+        for when in (0.5, 0.2):
+            eq.schedule_at(when, EventKind.TIMER, lambda: times.append(eq.now))
+        assert eq.run(until=1.0) is True
+        assert times == [0.2, 0.5]
+
+    @pytest.mark.parametrize("until", [math.nan, 0.5])
+    def test_horizon_before_now_or_nan_rejected(self, until):
+        eq = EventQueue()
+        eq.schedule_at(0.2, EventKind.TIMER, lambda: None)
+        eq.run(until=1.0)
+        eq.schedule_at(1.5, EventKind.TIMER, lambda: None)
+        with pytest.raises(RuntimeError):
+            eq.run(until=until)
+        assert (eq.now, eq.event_count) == (1.0, 1)
+        assert eq.run(until=2.0) is True
+
+    def test_event_at_until_fires_even_when_scheduled_during_the_run(self):
+        eq = EventQueue()
+        fired = []
+        eq.schedule_at(0.5, EventKind.TIMER, lambda: eq.schedule_at(
+            1.0, EventKind.TIMER, lambda: fired.append("scheduled at 0.5")))
+        eq.schedule_at(1.0, EventKind.TIMER, lambda: fired.append("pending"))
+        eq.schedule_at(math.nextafter(1.0, 2.0), EventKind.TIMER,
+                       lambda: fired.append("after until"))
+        assert eq.run(until=1.0) is False
+        assert fired == ["pending", "scheduled at 0.5"]
+        assert (eq.now, eq.event_count) == (1.0, 3)
+
+    def test_event_count_accumulates_over_runs(self):
+        eq = EventQueue()
+
+        def spawn(when):
+            return lambda: eq.schedule_at(when, EventKind.TIMER, lambda: None)
+
+        eq.schedule_at(0.1, EventKind.TIMER, spawn(0.2))
+        eq.schedule_at(1.5, EventKind.TIMER, spawn(1.6))
+        eq.run(until=1.0)
+        assert eq.event_count == 2
+        eq.schedule_at(1.2, EventKind.TIMER, spawn(1.3))
+        eq.run(until=2.0)
+        assert eq.event_count == 6
+        # Cleared events were never dispatched, so they are not counted.
+        eq.schedule_at(2.5, EventKind.TIMER, lambda: None)
+        eq.clear()
+        assert eq.run(until=3.0) is True
+        assert eq.event_count == 6
+
+    def test_raising_handler_is_counted_and_the_queue_runs_again(self):
+        eq = EventQueue()
+        fired = []
+
+        def boom():
+            raise ValueError("boom")
+
+        eq.schedule_at(0.1, EventKind.TIMER, boom)
+        eq.schedule_at(0.2, EventKind.TIMER, lambda: fired.append(eq.now))
+        with pytest.raises(ValueError, match="boom"):
+            eq.run(until=1.0)
+        assert (eq.now, eq.event_count, fired) == (0.1, 1, [])
+        # A stop entry left at 1.0 would end the next run there, before 1.5.
+        eq.schedule_at(1.5, EventKind.TIMER, lambda: fired.append(eq.now))
+        assert eq.run(until=2.0) is True
+        assert (eq.event_count, fired) == (3, [0.2, 1.5])
+
+    @pytest.mark.parametrize("last, drained", [(None, True), (0.5, True),
+                                               (1.0, False), (1.5, False)])
+    def test_drained_only_when_the_heap_empties_before_until(self, last, drained):
+        eq = EventQueue()
+        if last is not None:
+            eq.schedule_at(last, EventKind.TIMER, lambda: None)
+        assert eq.run(until=1.0) is drained
+        assert eq.now == 1.0
+
 
 # ---------------------------------------------------------------
 # scenario validation
@@ -199,19 +277,22 @@ class TestTopology:
         assert link.recv_free_at == [clock_0 + recv_tx, clock_1]
         assert link.departed == 3
 
-    def test_ack_queue_departure_leaves_before_a_same_time_arrival(self):
+    def test_ack_queue_departure_leaves_before_a_same_time_arrival(self, monkeypatch):
         # A one-ACK return queue with no access delay: the first ACK
         # departs at `done`; an ACK just before then finds the queue full,
-        # and one at `done` itself finds it empty.
+        # and one at `done` itself finds it empty.  The flow never starts,
+        # and the run ends before any ACK reaches the sender.
+        monkeypatch.setattr(DumbbellSim, "_start_flow", lambda _sim, _flow: None)
         sim = DumbbellSim(make_scenario(
             red=RedParams(min_th=0.0, max_th=1.0, buffer_cap=1),
-            groups=(FlowGroup("solo", 1, 1500),), access_delay_s=0.0))
+            groups=(FlowGroup("solo", 1, 1500),), access_delay_s=0.0,
+            duration_s=0.01, warmup_s=0.0))
         done = 40 * 8.0 / 30e6
         seg = Segment(0, seq=0, payload=1460)
         for when in (0.0, math.nextafter(done, 0.0), done):
             sim.eq.schedule_at(when, EventKind.ARRIVAL,
                                lambda: sim._data_reaches_receiver(seg))
-        sim.eq.run(until=done)
+        sim.run()
         assert (sim.reverse_arrivals, sim.reverse_drops) == (3, 1)
 
 

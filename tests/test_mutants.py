@@ -48,13 +48,16 @@ class Mutant:
     check: Callable[[pytest.MonkeyPatch], None]
     survives: str = ""  # why no check kills it, for a surviving mutant
     raises: type[BaseException] = AssertionError  # what the check fails with
+    also: tuple[tuple[str, str], ...] = ()  # further (old, new) in the same source
 
     def install(self, monkeypatch):
         original = inspect.getattr_static(self.owner, self.attr)
         source = textwrap.dedent(inspect.getsource(original))
-        assert self.old in source, f"{self.name}: pattern not in source"
+        for old, new in ((self.old, self.new), *self.also):
+            assert old in source, f"{self.name}: pattern {old!r} not in source"
+            source = source.replace(old, new)
         module = sys.modules[original.__module__]
-        code = compile(source.replace(self.old, self.new),
+        code = compile(source,
                        f"<mutant: {self.name}>", "exec",
                        flags=__future__.annotations.compiler_flag, dont_inherit=True)
         namespace = {}
@@ -133,9 +136,9 @@ MUTANTS = [
            "powers[k % period]", "powers[(k + 1) % period]",
            lambda _mp: test_droplaw.TestMonteCarlo()
            .test_replay_bit_identical_to_checked_steps(RedVariant.RED_5, "three-mtu", 3)),
-    Mutant("p_a denominator one ulp toward 0", red, "_row_pa",
-           "den = 1.0 - count * powers[row[1]] * p_b\n",
-           "den = math.nextafter(1.0 - count * powers[row[1]] * p_b, 0.0)\n",
+    Mutant("p_a denominator one ulp toward 0", red, "row_step",
+           "den = 1.0 - state.count * powers[row[1]] * p_b\n",
+           "den = math.nextafter(1.0 - state.count * powers[row[1]] * p_b, 0.0)\n",
            lambda _mp: test_droplaw.TestMechanicsLaw()
            .test_equals_enumeration_bit_for_bit(RedVariant.RED_3)),
     Mutant("buffer-full drop only above buffer_cap", red, "decide",
@@ -193,6 +196,20 @@ MUTANTS = [
            "run", "self.eq.clear()\n", "pass\n",
            lambda mp: test_engine.TestNoReferenceCycles()
            .test_dropped_simulator_is_freed_at_once(test_engine.ran_sim, mp)),
+    Mutant("ACK handler kept after the run", engine.DumbbellSim,
+           "run", "self._deliver_ack = None\n", "pass\n",
+           lambda mp: test_engine.TestNoReferenceCycles()
+           .test_dropped_simulator_is_freed_at_once(test_engine.ran_sim, mp)),
+    # The event loop's stop entry and derived count.
+    Mutant("stop entry sorts before same-time events", engine.EventQueue,
+           "run", "stop = (until, math.inf, None)", "stop = (until, -1, None)",
+           lambda _mp: test_engine.TestEventQueue()
+           .test_event_at_until_fires_even_when_scheduled_during_the_run()),
+    Mutant("event count misses events scheduled during the run", engine.EventQueue,
+           "run", "heappush(heap, stop)\n", "heappush(heap, stop); pending = len(heap) - 1\n",
+           lambda _mp: test_engine.TestEventQueue().test_event_count_accumulates_over_runs(),
+           also=(("self.event_count = self._seq - self._cleared - len(heap)",
+                  "self.event_count += pending - len(heap)"),)),
     # The fast paths, each taken without its guard.
     Mutant("receiver fast path with data buffered", tcp.TcpReceiver, "on_data",
            "if not self._ooo and start <= self.rcv_nxt < end:",

@@ -18,7 +18,6 @@ from redqsim.red import (
     decide,
     on_packet_arrival,
     random_region_step,
-    update_avg,
 )
 
 ALL_VARIANTS = list(RedVariant)
@@ -45,6 +44,13 @@ def count_step(variant, params, length, p_b=0.1):
     state = RedState()
     random_region_step(variant, params, p_b, state, length, 1.0)
     return state.count
+
+
+def fold(state, params, q):
+    """state.avg after decide() folds q into it; every branch does."""
+    decide(state, params, VARIANT_EXPONENTS[RedVariant.RED_1], q,
+           params.max_packet_size, 0.5)
+    return state.avg
 
 
 # ---------------------------------------------------------------
@@ -89,16 +95,14 @@ class TestRedParams:
 # moving average
 # ---------------------------------------------------------------
 
-class TestUpdateAvg:
+class TestMovingAverage:
     def test_step_from_zero(self, params):
         state = RedState()
-        assert update_avg(state, params, 100) == pytest.approx(0.2, rel=1e-12)
-        assert state.avg == pytest.approx(0.2, rel=1e-12)
+        assert fold(state, params, 100) == pytest.approx(0.2, rel=1e-12)
 
     def test_full_weight_tracks_queue(self):
-        p = RedParams(w_q=1.0)
         state = RedState(avg=55.0)
-        assert update_avg(state, p, 7) == 7.0
+        assert fold(state, RedParams(w_q=1.0), 7) == 7.0
 
     def test_stays_between_old_avg_and_queue(self, params):
         rng = random.Random(101)
@@ -106,13 +110,13 @@ class TestUpdateAvg:
         for _ in range(500):
             q = rng.randrange(0, params.buffer_cap + 1)
             before = state.avg
-            after = update_avg(state, params, q)
+            after = fold(state, params, q)
             assert min(before, q) <= after <= max(before, q)
 
     def test_converges_to_constant_queue(self, params):
         state = RedState()
         for _ in range(5000):
-            update_avg(state, params, 90)
+            fold(state, params, 90)
         assert state.avg == pytest.approx(90.0, rel=1e-3)
 
     @given(
@@ -123,7 +127,7 @@ class TestUpdateAvg:
     def test_matches_readme_formula_bit_for_bit(self, w_q, avg, q):
         state = RedState(avg=avg)
         expected = (1.0 - w_q) * avg + w_q * q  # README's average
-        assert update_avg(state, RedParams(w_q=w_q), q) == expected == state.avg
+        assert fold(state, RedParams(w_q=w_q), q) == expected
 
 
 # ---------------------------------------------------------------
