@@ -8,19 +8,21 @@ one uniform draw per data arrival at the guarded bottleneck queue, in
 event order.  Every event goes through EventQueue.schedule_at, looked
 up on the queue at each call so that a wrapper installed on the class
 sees it, with a bound method or a functools.partial of one as its
-zero-argument handler, never a per-event closure.  EventQueue.run(until)
-ends at a stop entry that sorts after every event at until, so the loop
-makes no horizon test and keeps no count per event; event_count is
-derived from the pushes, the entries left and those dropped by clear().
+zero-argument handler, never a per-event closure.  schedule_at refuses
+any time before now, so the clock never runs backwards.
+EventQueue.run(until) ends at a stop entry that sorts after every event
+at until, so the loop makes no horizon test and keeps no count per
+event; event_count is derived from the pushes, the entries left and
+those dropped by clear().
 
 The topology is a dumbbell: every sender reaches the first router over
 its own access link, the two routers exchange traffic over a pair of
 one-way bottleneck links (data direction guarded by the drop
-gatekeeper, whose judge answers each arrival with a red.Verdict alone;
-return direction a plain bounded FIFO), and every receiver hangs off
-the second router on its own access link, so the round-trip
-floor is twice the bottleneck delay plus four access delays.  Receive
-access links are per-flow clocks; sender access links and the data
+gatekeeper, whose judge answers each arrival with a red.Verdict or
+the run raises; return direction a plain bounded FIFO), and every
+receiver hangs off the second router on its own access link, so the
+round-trip floor is twice the bottleneck delay plus four access delays.
+Receive access links are per-flow clocks; sender access links and the data
 bottleneck keep their service events, whose same-time ties with
 gatekeeper arrivals fix the event order.  The data bottleneck's far
 end has no event: Bottleneck owns the receive clocks, a departing
@@ -65,8 +67,9 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Callable
 
-from .red import VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide
-from .tcp import Segment, TcpConfig, TcpReceiver, TcpSender, TcpVariant
+from .red import (ACCEPT, FORCED_DROP_AVG, FORCED_DROP_BUFFER, RANDOM_DROP,
+                  VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide)
+from .tcp import HEADER_BYTES, Segment, TcpConfig, TcpReceiver, TcpSender, TcpVariant
 from . import metrics
 
 
@@ -91,8 +94,6 @@ class EventKind(enum.Enum):
 
 
 ARRIVAL, LINK_DONE, TIMER = EventKind.ARRIVAL, EventKind.LINK_DONE, EventKind.TIMER
-ACCEPT, RANDOM_DROP, FORCED_DROP_AVG = (
-    Verdict.ACCEPT, Verdict.RANDOM_DROP, Verdict.FORCED_DROP_AVG)
 
 
 class EventQueue:
@@ -123,7 +124,7 @@ class EventQueue:
 
     def schedule_at(self, when: float, kind: EventKind, fn: Callable[[], None]) -> None:
         # Written so that a NaN time fails too.
-        if not when >= self.now - 1e-12:
+        if not when >= self.now:
             raise RuntimeError(f"cannot schedule an event at {when!r} (now {self.now!r})")
         heappush(self._heap, (when, self._seq, fn))
         self._seq += 1
@@ -285,8 +286,10 @@ class Bottleneck(Link):
             self.drops_random[g] += 1
         elif verdict is FORCED_DROP_AVG:
             self.drops_forced_avg[g] += 1
-        else:
+        elif verdict is FORCED_DROP_BUFFER:
             self.drops_buffer[g] += 1
+        else:
+            raise TypeError(f"judge answered {verdict!r}, which is not a red.Verdict")
 
     def _finish_service(self) -> None:
         backlog = self.backlog
@@ -372,8 +375,8 @@ class Scenario:
             seen.add(g.name)
             if g.flow_count < 1:
                 raise ConfigError("flows", f"group {g.name!r} needs flows >= 1")
-            if g.mtu <= 40:
-                raise ConfigError("mtu", f"group {g.name!r} mtu must exceed the 40-byte header")
+            if g.mtu <= HEADER_BYTES:
+                raise ConfigError("mtu", f"group {g.name!r} mtu must exceed the {HEADER_BYTES}-byte header")
             if g.mtu > self.red.max_packet_size:
                 raise ConfigError(
                     "mtu",
@@ -439,7 +442,7 @@ class DumbbellSim:
         self.flows: list[_Flow] = []
         group_index: list[int] = []
         for g_idx, group in enumerate(scenario.groups):
-            config = TcpConfig(variant=scenario.tcp_variant, mss=group.mtu - 40)
+            config = TcpConfig(variant=scenario.tcp_variant, mss=group.mtu - HEADER_BYTES)
             for _ in range(group.flow_count):
                 idx = len(self.flows)
                 self.flows.append(

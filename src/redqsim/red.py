@@ -60,6 +60,12 @@ class Verdict(enum.Enum):
     FORCED_DROP_BUFFER = "forced_drop_buffer"
 
 
+# Bound once, so no bottleneck arrival looks a member up through the Enum class.
+ACCEPT, RANDOM_DROP, FORCED_DROP_AVG, FORCED_DROP_BUFFER = (
+    Verdict.ACCEPT, Verdict.RANDOM_DROP, Verdict.FORCED_DROP_AVG,
+    Verdict.FORCED_DROP_BUFFER)
+
+
 @dataclass(frozen=True)
 class RedParams:
     """Static gatekeeper configuration.
@@ -119,7 +125,7 @@ class DropDecision:
 
     @property
     def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPT
+        return self.verdict is ACCEPT
 
 
 def compute_pb(params: RedParams, avg: float) -> float:
@@ -195,16 +201,16 @@ def decide(state: RedState, params: RedParams, row: tuple[int, int, int],
     """
     avg = state.avg = (1.0 - params.w_q) * state.avg + params.w_q * q
     if q >= params.buffer_cap:
-        verdict = Verdict.FORCED_DROP_BUFFER
+        verdict = FORCED_DROP_BUFFER
     elif avg < params.min_th:
-        verdict = Verdict.ACCEPT
+        verdict = ACCEPT
     elif avg >= params.max_th:
-        verdict = Verdict.FORCED_DROP_AVG
+        verdict = FORCED_DROP_AVG
     else:
         s = packet_len / params.max_packet_size
         if row_step(row, (1.0, s, s * s), compute_pb(params, avg), state, u)[0]:
-            return Verdict.RANDOM_DROP
-        return Verdict.ACCEPT
+            return RANDOM_DROP
+        return ACCEPT
     state.count = 0.0
     return verdict
 
@@ -222,6 +228,6 @@ def on_packet_arrival(state: RedState, params: RedParams, variant: RedVariant,
         raise ValueError("u must be in [0, 1)")
     verdict = decide(state, params, VARIANT_EXPONENTS[variant], state.q,
                      packet_len, u)
-    if verdict is Verdict.ACCEPT:
+    if verdict is ACCEPT:
         state.q += 1
     return DropDecision(verdict)

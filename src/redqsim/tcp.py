@@ -11,12 +11,12 @@ blocks, sender fills holes one by one under a pipe limit and leaves
 recovery only once the pre-loss frontier is acknowledged).
 
 The retransmission timer estimate follows the usual smoothed-mean plus
-four-deviations rule with gains 1/8 and 1/4, rounded up to a coarse
-tick and backed off exponentially, capped at 64 seconds.  Timing
-samples are only taken from segments sent exactly once.  After a
-timeout the sender rewinds its send frontier to the oldest
-unacknowledged byte and streams forward again; the receiver discards
-whatever it already holds.
+four-deviations rule with gains 1/8 and 1/4, rounded up to whole ticks
+of the constant TIMER_GRANULARITY_S, at least MIN_RTO_TICKS, backed off
+exponentially and capped at 64 seconds.  Timing samples are only taken
+from segments sent exactly once.  After a timeout the sender rewinds
+its send frontier to the oldest unacknowledged byte and streams forward
+again; the receiver discards whatever it already holds.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ HEADER_BYTES = 40
 RTT_GAIN = 0.125
 RTTVAR_GAIN = 0.25
 MAX_RTO_S = 64.0
+TIMER_GRANULARITY_S = 0.2
+MIN_RTO_TICKS = 1
 INITIAL_RTO_S = 1.0
 MAX_SACK_BLOCKS = 3
 
@@ -70,26 +72,20 @@ class Segment:
 
 @dataclass(frozen=True)
 class TcpConfig:
+    """Per-group settings, read once by each endpoint and not kept."""
+
     variant: TcpVariant = TcpVariant.RENO
     mss: int = 1460
     rcv_wnd: int = 1_048_576
-    timer_granularity: float = 0.2
-    min_rto_ticks: int = 1
 
     def __post_init__(self) -> None:
-        for field_name in ("mss", "rcv_wnd", "min_rto_ticks"):
+        for field_name in ("mss", "rcv_wnd"):
             if not isinstance(getattr(self, field_name), int):
                 raise ValueError(f"{field_name} must be an integer")
-        if not math.isfinite(self.timer_granularity):
-            raise ValueError("timer_granularity must be finite")
         if self.mss < 1:
             raise ValueError("mss must be >= 1")
         if self.rcv_wnd < 2 * self.mss:
             raise ValueError("rcv_wnd must hold at least two segments")
-        if self.timer_granularity <= 0.0:
-            raise ValueError("timer_granularity must be > 0")
-        if self.min_rto_ticks < 1:
-            raise ValueError("min_rto_ticks must be >= 1")
 
 
 def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -116,10 +112,10 @@ class TcpSender:
     Any entry point may move the deadline earlier or later.
 
     The segment size, the receiver window as a float and the recovery
-    flavor are read from the config once, at construction.
+    flavor are read from the config at construction; it is not kept.
     """
 
-    __slots__ = ("flow_id", "config", "_mss", "_rcv_wnd", "_sack", "cwnd",
+    __slots__ = ("flow_id", "_mss", "_rcv_wnd", "_sack", "cwnd",
                  "ssthresh", "snd_una", "snd_nxt", "max_sent", "dupacks",
                  "in_recovery", "recovery_point", "srtt", "rttvar", "rto",
                  "backoff", "rto_deadline", "_timing", "sack_scoreboard",
@@ -128,7 +124,6 @@ class TcpSender:
 
     def __init__(self, flow_id: int, config: TcpConfig):
         self.flow_id = flow_id
-        self.config = config
         mss = self._mss = config.mss
         self._rcv_wnd = float(config.rcv_wnd)
         self._sack = config.variant is _SACK
@@ -189,18 +184,8 @@ class TcpSender:
             )
             self.srtt = (1.0 - RTT_GAIN) * self.srtt + RTT_GAIN * sample
         raw = self.srtt + 4.0 * self.rttvar
-        g = self.config.timer_granularity
-        ticks = max(self.config.min_rto_ticks, math.ceil(raw / g - 1e-9))
-        self.rto = ticks * g
-
-    def _invalidate_sample_if_hit(self, start: int, end: int) -> None:
-        # A retransmission overlapping the timed segment poisons the
-        # sample: the eventual acknowledgment would be ambiguous.
-        if self._timing is None:
-            return
-        t_start, t_end, _ = self._timing
-        if start < t_end and end > t_start:
-            self._timing = None
+        ticks = max(MIN_RTO_TICKS, math.ceil(raw / TIMER_GRANULARITY_S - 1e-9))
+        self.rto = ticks * TIMER_GRANULARITY_S
 
     # ------------------------------------------------------------
     # segment emission
@@ -259,13 +244,17 @@ class TcpSender:
             return pos
         return None
 
-    def _retransmit(self, seq: int, now: float) -> Segment:
+    def _retransmit(self, seq: int) -> Segment:
         length = min(self._mss, self.recovery_point - seq)
         if length <= 0:
             raise RuntimeError(f"flow {self.flow_id}: empty retransmission at seq {seq}")
-        self._invalidate_sample_if_hit(seq, seq + length)
-        self._retx_ranges.append((seq, seq + length))
-        self._retx_ranges = _merge_ranges(self._retx_ranges)
+        # A retransmission overlapping the timed segment poisons the
+        # sample: the eventual acknowledgment would be ambiguous.
+        if self._timing and seq < self._timing[1] and seq + length > self._timing[0]:
+            self._timing = None
+        if self._sack:  # plain recovery does not track refills
+            self._retx_ranges.append((seq, seq + length))
+            self._retx_ranges = _merge_ranges(self._retx_ranges)
         self.retransmits += 1
         self.segments_sent += 1
         return Segment(self.flow_id, seq, length)
@@ -279,8 +268,8 @@ class TcpSender:
         while self._pipe() + mss <= window:
             hole = self._next_hole()
             if hole is not None:
-                out.append(self._retransmit(hole, now))
-            elif self.snd_nxt - self.snd_una + mss <= self.config.rcv_wnd:
+                out.append(self._retransmit(hole))
+            elif self.snd_nxt - self.snd_una + mss <= self._rcv_wnd:
                 out.append(self._make_segment(self.snd_nxt, mss, now))
                 self.snd_nxt += mss
             else:
@@ -295,10 +284,9 @@ class TcpSender:
         if self.started:
             raise RuntimeError("sender already started")
         self.started = True
-        out = self._fill_window(now)
-        if out:
-            self.rto_deadline = now + self.effective_rto()
-        return out
+        # rcv_wnd holds two segments, so the first one always goes out.
+        self.rto_deadline = now + self.effective_rto()
+        return self._fill_window(now)
 
     def on_ack(self, seg: Segment, now: float) -> list[Segment]:
         if not seg.is_ack:
@@ -375,10 +363,9 @@ class TcpSender:
         self.in_recovery = True
         self.recovery_point = self.snd_nxt
         self.fast_retransmits += 1
-        out = [self._retransmit(self.snd_una, now)]
+        out = [self._retransmit(self.snd_una)]
         if not self._sack:
             self.cwnd = self.ssthresh + 3.0 * mss
-            self._retx_ranges = []  # plain recovery does not track refills
         else:
             self.cwnd = self.ssthresh
             out.extend(self._emit_recovery(now))
@@ -400,14 +387,12 @@ class TcpSender:
         self._retx_ranges = []
         self._timing = None
         # Rewind the frontier and stream forward again; the receiver
-        # drops duplicates of anything it already buffered.
+        # drops duplicates of anything it already buffered.  The first
+        # segment, below max_sent, goes out untimed (Karn's rule).
         self.snd_nxt = self.snd_una
         self.retransmits += 1
-        seg = Segment(self.flow_id, self.snd_nxt, mss)
-        self.segments_sent += 1
-        self.snd_nxt += mss
         self.rto_deadline = now + self.effective_rto()
-        return [seg]
+        return self._fill_window(now)
 
 
 class TcpReceiver:
@@ -417,12 +402,11 @@ class TcpReceiver:
     in-order frontier first covers it.
     """
 
-    __slots__ = ("flow_id", "config", "_sack", "rcv_nxt", "delivered_bytes",
-                 "_ooo", "_recent")
+    __slots__ = ("flow_id", "_sack", "rcv_nxt", "delivered_bytes", "_ooo",
+                 "_recent")
 
     def __init__(self, flow_id: int, config: TcpConfig):
         self.flow_id = flow_id
-        self.config = config
         self._sack = config.variant is _SACK
         self.rcv_nxt = 0
         self.delivered_bytes = 0

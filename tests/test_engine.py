@@ -87,6 +87,15 @@ class TestEventQueue:
         with pytest.raises(RuntimeError):
             eq.run(until=1.0)
 
+    def test_scheduling_a_hair_before_now_rejected(self):
+        # Dispatching such an event would move the clock back.
+        eq = EventQueue()
+        eq.schedule_at(1.0, EventKind.TIMER, lambda: eq.schedule_at(
+            eq.now - 5e-13, EventKind.TIMER, lambda: None))
+        with pytest.raises(RuntimeError, match="cannot schedule"):
+            eq.run(until=2.0)
+        assert eq.now == 1.0
+
     def test_run_returns_drained_flag(self):
         eq = EventQueue()
         eq.schedule_at(eq.now + 0.1, EventKind.TIMER, lambda: None)
@@ -357,6 +366,16 @@ class TestConservation:
         assert len(link.backlog) == 3
         eq.run(until=1.0)
         assert (link.departed, len(link.backlog)) == (3, 0)
+
+    @pytest.mark.parametrize("answer", [None, False])
+    def test_judge_answer_that_is_no_verdict_raises(self, answer):
+        # Counted as a buffer-full drop, it would pass the audit unseen.
+        link = Bottleneck(EventQueue(), 1e6, 0.0, lambda _seg: None,
+                          lambda _q, _len, _u: answer, random.Random(1), lambda _f: 0, 1,
+                          100e6, 0.0, 1)
+        with pytest.raises(TypeError, match=repr(answer)):
+            link.send(Segment(0, seq=0, payload=1460))
+        assert (link.accepted, link.drops_buffer) == ([0], [0])
 
     def test_occupancy_never_exceeds_buffer_cap(self):
         report = run_scenario(make_scenario(duration_s=6.0, warmup_s=1.0))

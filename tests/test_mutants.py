@@ -11,9 +11,11 @@ The check is an existing test called directly, or a Hypothesis property
 called through its inner test at fixed examples, so each kill is
 deterministic and no shrinking runs.  The check must pass on the package
 before it fails on the mutant, with an AssertionError unless the row
-names the error a fail-fast guard raises.  A mutant that no check kills
-stays in the matrix as a strict expected failure, so a check that starts
-to kill it shows up.
+names what it fails with instead: the error a fail-fast guard raises,
+or pytest.fail.Exception where the check expects a guard's error that
+the mutant no longer raises.  A mutant that no check kills stays in the
+matrix as a strict expected failure, so a check that starts to kill it
+shows up.
 """
 
 import __future__
@@ -172,6 +174,11 @@ MUTANTS = [
            "send", "self.drops_random[g] += 1\n", "pass\n",
            lambda _mp: test_engine.TestConservation()
            .test_bottleneck_audit_conserves_packets(RedVariant.RED_1)),
+    Mutant("an answer that is no verdict counted as a buffer-full drop",
+           engine.Bottleneck, "send", "elif verdict is FORCED_DROP_BUFFER:", "elif True:",
+           lambda _mp: test_engine.TestConservation()
+           .test_judge_answer_that_is_no_verdict_raises(None),
+           raises=pytest.fail.Exception),
     Mutant("bottleneck departure untallied", engine.Bottleneck,
            "_finish_service", "self.departed += 1\n", "pass\n",
            lambda _mp: test_engine.TestConservation()
@@ -210,6 +217,11 @@ MUTANTS = [
            lambda _mp: test_engine.TestEventQueue().test_event_count_accumulates_over_runs(),
            also=(("self.event_count = self._seq - self._cleared - len(heap)",
                   "self.event_count += pending - len(heap)"),)),
+    Mutant("schedule_at takes a time 1e-12 before now", engine.EventQueue,
+           "schedule_at", "if not when >= self.now:", "if not when >= self.now - 1e-12:",
+           lambda _mp: test_engine.TestEventQueue()
+           .test_scheduling_a_hair_before_now_rejected(),
+           raises=pytest.fail.Exception),
     # The fast paths, each taken without its guard.
     Mutant("receiver fast path with data buffered", tcp.TcpReceiver, "on_data",
            "if not self._ooo and start <= self.rcv_nxt < end:",
@@ -243,7 +255,8 @@ MUTANTS = [
            .test_hole_retransmitted_once_and_exit_at_frontier(),
            raises=RuntimeError),
     Mutant("RTO ticks rounded without the float-error guard", tcp.TcpSender,
-           "_rto_update", "math.ceil(raw / g - 1e-9)", "math.ceil(raw / g)",
+           "_rto_update", "math.ceil(raw / TIMER_GRANULARITY_S - 1e-9)",
+           "math.ceil(raw / TIMER_GRANULARITY_S)",
            lambda _mp: test_tcp.TestRtoEstimator()
            .test_whole_tick_estimate_is_not_rounded_past_float_error()),
     Mutant("p_b denominator nudged by 1e-9", red, "compute_pb",

@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from redqsim.tcp import (
     INITIAL_RTO_S,
     MAX_RTO_S,
+    MIN_RTO_TICKS,
     RTT_GAIN,
     RTTVAR_GAIN,
+    TIMER_GRANULARITY_S,
     Segment,
     TcpConfig,
     TcpReceiver,
@@ -105,8 +107,8 @@ class ReferenceSender:
             )
             self.srtt = (1.0 - RTT_GAIN) * self.srtt + RTT_GAIN * sample
         raw = self.srtt + 4.0 * self.rttvar
-        g = self.config.timer_granularity
-        ticks = max(self.config.min_rto_ticks, math.ceil(raw / g - 1e-9))
+        g = TIMER_GRANULARITY_S
+        ticks = max(MIN_RTO_TICKS, math.ceil(raw / g - 1e-9))
         self.rto = ticks * g
 
     def _take_sample(self, ack_no: int, now: float) -> None:
