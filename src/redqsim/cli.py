@@ -23,9 +23,9 @@ Scenario files are declarative plain text, versioned by a ``schema = 1`` field::
 
 Blank lines and comments are ignored; a comment starts at a ``#`` at the
 start of a line or after whitespace, so ``name = run#2`` keeps its ``#2``.
-Unknown keys are rejected by name.  Every group section needs ``flows`` and
-``mtu``.  ``name`` is written unquoted into every CSV row, so it may hold no
-comma, double quote or line break.
+Unknown keys are rejected by name.  At least one group section is required,
+and each needs ``flows`` and ``mtu``.  ``name`` is written unquoted into
+every CSV row, so it may hold no comma, double quote or line break.
 
 CSV schema (fixed column order, 6 significant digits for real numbers)::
 
@@ -37,8 +37,8 @@ One row per MTU group; the seed lands in every row so any row can be
 reproduced in isolation.
 
 Seed precedence: ``--seed`` flag > ``REDQSIM_SEED`` environment variable >
-``seed`` key in the scenario file > 1.  A negative seed from any of them,
-a sweep's base seed included, exits 2 naming ``seed`` before any run.
+``seed`` key in the scenario file > 1.  A negative seed, from any of them
+or from ``validate --seed``, exits 2 naming ``seed`` before any run.
 
 Sweep cells are ordered variant-major, then tcp, then delay; the cell at
 index ``i`` runs with seed ``(base_seed * 1000003 + i) % 2**31`` so any cell
@@ -208,8 +208,6 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
     schema = _number(top["schema"], "schema", int)
     if schema != 1:
         raise ConfigError("schema", f"schema must be 1, got {schema}")
-    if not groups:
-        raise ConfigError("group", f"{source}: at least one [group NAME] section required")
 
     parsed_groups = []
     for name, body in groups:
@@ -416,6 +414,8 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
+        if seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         variant = _parse_red_variant(variant_arg)
         try:
             sizes = tuple(int(s) for s in sizes_arg.split(",") if s.strip())

@@ -366,6 +366,8 @@ class Scenario:
             raise ConfigError("bottleneck_delay_ms", "must be >= 0")
         if self.access_delay_s < 0.0:
             raise ConfigError("access_delay_ms", "must be >= 0")
+        if not self.groups:
+            raise ConfigError("group", "at least one flow group required")
         seen = set()
         for g in self.groups:
             if not g.name:
@@ -383,10 +385,6 @@ class Scenario:
                     f"group {g.name!r} mtu exceeds max_packet_size "
                     f"{self.red.max_packet_size}",
                 )
-
-    @property
-    def flow_count(self) -> int:
-        return sum(g.flow_count for g in self.groups)
 
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(self, seed=seed)
@@ -494,7 +492,7 @@ class DumbbellSim:
         sc = self.scenario
         eq = self.eq
         now = eq.now
-        ack = self.flows[seg.flow_id].receiver.on_data(seg, now)
+        ack = self.flows[seg.flow_id].receiver.on_data(seg)
         arrive = now + sc.access_delay_s
         departures = self._ack_departures
         while departures and departures[0] <= arrive:

@@ -43,10 +43,6 @@ class GroupStats:
     fast_retransmits: int
     retransmits: int
 
-    @property
-    def drops_total(self) -> int:
-        return self.drops_random + self.drops_forced_avg + self.drops_buffer
-
 
 @dataclass(frozen=True)
 class BottleneckAudit:
@@ -129,17 +125,17 @@ def build_run_report(scenario, mark: list[list[int]], end: list[list[int]],
     bottleneck columns, in BottleneckAudit's field order, and takes the
     bottleneck's departed, residual_q and max_q.  reverse_* are the
     acknowledgment queue's tallies, and drained tells whether the event
-    queue ran dry before the configured duration.  A run with flows is
-    stalled if it drained or if no packet ever reached the bottleneck.
+    queue ran dry before the configured duration.  A run is stalled if
+    it drained or if no packet ever reached the bottleneck.
     """
     interval_s = scenario.duration_s - scenario.warmup_s
     audit = BottleneckAudit(*(sum(row[k] for row in end) for k in range(5)),
                             departed, residual_q, max_q)
     diagnostics = []
-    if end and drained:
+    if drained:
         diagnostics.append(
             "stalled: event queue drained before the configured duration")
-    if end and audit.arrivals == 0:
+    if audit.arrivals == 0:
         diagnostics.append("stalled: no packet reached the bottleneck in "
                            f"{scenario.duration_s:g} s")
     stalled = bool(diagnostics)

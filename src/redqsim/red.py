@@ -146,8 +146,8 @@ def row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
 
     row is the variant's VARIANT_EXPONENTS entry and powers is
     (1.0, s, s * s) for s = L/M, built by the caller from an integer L in
-    (0, M].  Computes p_a = s^a * p_b / (1 - count * s^b * p_b), clipped
-    to [0, 1], draws u against it, then resets the counter (drop) or
+    (0, M].  Computes p_a = s^a * p_b / (1 - count * s^b * p_b), capped
+    at 1, draws u against it, then resets the counter (drop) or
     advances it by powers[row[2]] (accept).  This is the step decide()
     takes inside the random region.  Since p_a <= 1, u = 1.0 never drops:
     the Monte Carlo drop-law harness steps with it to table p_a per gap
@@ -159,9 +159,7 @@ def row_step(row: tuple[int, int, int], powers: tuple, p_b: float,
         p_a = 1.0
     else:
         p_a = powers[row[0]] * p_b / den
-        if p_a < 0.0:
-            p_a = 0.0
-        elif p_a > 1.0:
+        if p_a > 1.0:
             p_a = 1.0
     if u < p_a:
         state.count = 0.0

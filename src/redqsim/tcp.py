@@ -426,7 +426,7 @@ class TcpReceiver:
         ]
         del self._recent[MAX_SACK_BLOCKS:]
 
-    def on_data(self, seg: Segment, now: float) -> Segment:
+    def on_data(self, seg: Segment) -> Segment:
         if seg.is_ack:
             raise ValueError("receiver expects data segments")
         start, end = seg.seq, seg.seq + seg.payload

@@ -272,6 +272,15 @@ class TestRunCommand:
         assert err.startswith(f"config error: {field}: ")
         assert out == ""
 
+    def test_scenario_without_a_group_exits_2_naming_it(self, tmp_path):
+        path = tmp_path / "groupless.scn"
+        path.write_text(SCENARIO_TEXT.split("[group")[0])
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_run(str(path), None, None, env={}, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: group: ")
+        assert out == ""
+
     def test_no_bottleneck_arrivals_exits_3_with_diagnostic(self, starved_file):
         rc, out, err = run_cli(
             lambda **k: cli.cmd_run(starved_file, None, None, env={}, **k))
@@ -537,27 +546,29 @@ class TestValidateCommand:
         assert rc == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "variant, p_b, sizes, field",
+        "variant, p_b, sizes, seed, field",
         [
-            pytest.param("RED_1", 0.1, "wide", "sizes", id="sizes-not-numbers"),
+            pytest.param("RED_1", 0.1, "wide", 3, "sizes", id="sizes-not-numbers"),
             # The exact law's mass misses 1 by more than its tolerance.
-            pytest.param("RED_1", 0.00001, "1500", "pb", id="pb-mass-tolerance"),
+            pytest.param("RED_1", 0.00001, "1500", 3, "pb", id="pb-mass-tolerance"),
             # The exact law needs more than its 1,000,000-step cap.
-            pytest.param("RED_5", 0.1, "1", "pb", id="pb-step-cap"),
+            pytest.param("RED_5", 0.1, "1", 3, "pb", id="pb-step-cap"),
             # The exact law holds, but 120,000 trials at a mean gap of
             # 25,000.5 arrivals are about 3e9 gatekeeper steps.
-            pytest.param("RED_1", 0.00002, "1500", "trials", id="trials-work-cap"),
+            pytest.param("RED_1", 0.00002, "1500", 3, "trials", id="trials-work-cap"),
+            # random.Random(-1) seeds exactly like Random(1).
+            pytest.param("RED_3", 0.05, "1500,750", -1, "seed", id="negative-seed"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, monkeypatch, variant, p_b,
-                                            sizes, field):
+                                            sizes, seed, field):
         def no_trials(*_args, **_kwargs):
             raise AssertionError("Monte Carlo ran on a rejected input")
 
         monkeypatch.setattr(cli, "montecarlo_interdrop", no_trials)
         rc, _, err = run_cli(
             lambda **k: cli.cmd_validate(variant, p_b, sizes, 1500,
-                                         120_000, 3, **k))
+                                         120_000, seed, **k))
         assert rc == cli.EXIT_CONFIG
         assert err.startswith(f"config error: {field}: ")
 

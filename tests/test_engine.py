@@ -224,15 +224,13 @@ class TestScenarioValidation:
             (dict(access_rate_bps=float("nan")), "access_rate_mbps"),
             (dict(bottleneck_delay_s=float("nan")), "bottleneck_delay_ms"),
             (dict(access_delay_s=float("nan")), "access_delay_ms"),
+            (dict(groups=()), "group"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):
         with pytest.raises(ConfigError) as err:
             make_scenario(**overrides)
         assert err.value.field == field
-
-    def test_flow_count_sums_groups(self):
-        assert make_scenario().flow_count == 60
 
 
 # ---------------------------------------------------------------
@@ -388,13 +386,6 @@ class TestConservation:
 # ---------------------------------------------------------------
 
 class TestBehavior:
-    def test_zero_groups_gives_empty_report(self):
-        report = run_scenario(make_scenario(groups=()))
-        assert report.groups == ()
-        assert report.total_goodput_bps == 0.0
-        assert report.bottleneck.arrivals == 0
-        assert not report.stalled
-
     def test_single_flow_fills_bottleneck_when_red_is_idle(self):
         # Thresholds pushed to the buffer ceiling keep RED out of the way, so
         # one greedy flow should hold the bottleneck near its payload rate.

@@ -4,7 +4,6 @@ import pytest
 
 from redqsim.metrics import (
     BottleneckAudit,
-    GroupStats,
     goodput_bps,
     loss_ratio,
 )
@@ -42,14 +41,6 @@ class TestScalarHelpers:
 # ---------------------------------------------------------------
 
 class TestContainers:
-    def test_group_stats_totals_drops(self):
-        g = GroupStats(
-            name="large", mtu=1500, flow_count=20, goodput_bps=1e6,
-            plr=0.05, arrivals=1000, drops_random=30, drops_forced_avg=15,
-            drops_buffer=5, timeouts=2, fast_retransmits=9, retransmits=11,
-        )
-        assert g.drops_total == 50
-
     def test_audit_conservation_holds(self):
         audit = BottleneckAudit(
             arrivals=1000, accepted=940, drops_random=40,

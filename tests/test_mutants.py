@@ -29,13 +29,14 @@ from typing import Callable
 
 import pytest
 
+import test_cli
 import test_droplaw
 import test_engine
 import test_parallel
 import test_red
 import test_sender_model
 import test_tcp
-from redqsim import droplaw, engine, metrics, parallel, red, tcp
+from redqsim import cli, droplaw, engine, metrics, parallel, red, tcp
 from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
@@ -264,6 +265,10 @@ MUTANTS = [
            lambda _mp: test_red.TestComputePb.test_matches_readme_formula_bit_for_bit
            .hypothesis.inner_test(test_red.TestComputePb(), min_th=40.0, width=80.0,
                                   max_p=0.1, frac=0.5)),
+    Mutant("validate runs a negative seed", cli, "cmd_validate",
+           "if seed < 0:", "if False:",
+           lambda mp: test_cli.TestValidateCommand().test_bad_input_exits_2_naming_field(
+               mp, "RED_3", 0.05, "1500,750", -1, "seed")),
     # The fork protocol of the parallel map.
     Mutant("parent does not flush before forking", parallel, "start_child",
            "sys.stdout.flush()", "None",

@@ -48,7 +48,7 @@ class ReferenceReceiver:
         ]
         del self._recent[MAX_SACK_BLOCKS:]
 
-    def on_data(self, seg: Segment, now: float) -> Segment:
+    def on_data(self, seg: Segment) -> Segment:
         if seg.is_ack:
             raise ValueError("receiver expects data segments")
         start, end = seg.seq, seg.seq + seg.payload
@@ -110,7 +110,7 @@ def test_fast_path_matches_the_reference_receiver(variant, steps):
                      "extend": ref._ooo[-1][1] if ref._ooo else ahead}.get(kind, 0)
             seg = Segment(0, seq=start, payload=length * MSS + offset)
         sent.append(seg)
-        got, want = fast.on_data(seg, 0.0), ref.on_data(seg, 0.0)
+        got, want = fast.on_data(seg), ref.on_data(seg)
         assert (got.ack_no, got.sack_blocks) == (want.ack_no, want.sack_blocks)
         assert got.is_ack and got.wire_bytes == want.wire_bytes
         assert (fast.rcv_nxt, fast.delivered_bytes, fast._ooo) == \

@@ -362,6 +362,6 @@ def test_batched_sender_matches_the_reference_sender(variant, wnd_segments, loss
         if rng.random() < loss:
             continue
         if pending is data:
-            acks.append(receiver.on_data(seg, now))
+            acks.append(receiver.on_data(seg))
         else:
             call("on_ack", seg, now)

@@ -37,7 +37,7 @@ def ack_round(sender, receiver, segs, now: float) -> list[Segment]:
     """Deliver a window of data, feed every acknowledgment straight back."""
     out = []
     for seg in segs:
-        reply = receiver.on_data(seg, now)
+        reply = receiver.on_data(seg)
         out.extend(sender.on_ack(reply, now))
     return out
 
@@ -76,7 +76,7 @@ def drive(sender, receiver, *, rtt: float, duration: float, drop=None):
             continue
         now, _, kind, seg = heapq.heappop(heap)
         if kind == "data":
-            put(now + rtt / 2.0, "ack", receiver.on_data(seg, now))
+            put(now + rtt / 2.0, "ack", receiver.on_data(seg))
         else:
             transmit(now, sender.on_ack(seg, now))
     return sent
@@ -226,13 +226,13 @@ class TestSackRecovery:
         frontier = s.snd_nxt
         out = []
         for seg in rest:
-            reply = r.on_data(seg, 20.0)
+            reply = r.on_data(seg)
             assert reply.ack_no == una
             out.extend(s.on_ack(reply, 20.0))
         retx = [seg for seg in out if seg.seq == una]
         assert len(retx) == 1
         assert s.in_recovery and s.recovery_point == frontier
-        reply = r.on_data(retx[0], 20.5)
+        reply = r.on_data(retx[0])
         assert reply.ack_no == frontier
         s.on_ack(reply, 20.5)
         assert not s.in_recovery
@@ -248,7 +248,7 @@ class TestSackRecovery:
         for seg in segs:
             if seg.seq in lost:
                 continue
-            out.extend(s.on_ack(r.on_data(seg, 30.0), 30.0))
+            out.extend(s.on_ack(r.on_data(seg), 30.0))
         # Feed everything back until the stream drains or stops moving.
         for _ in range(40):
             if not out:
@@ -257,7 +257,7 @@ class TestSackRecovery:
             for seg in out:
                 if seg.is_ack:
                     continue
-                nxt.extend(s.on_ack(r.on_data(seg, 31.0), 31.0))
+                nxt.extend(s.on_ack(r.on_data(seg), 31.0))
             out = nxt
         assert s.timeouts == 0
         assert s.snd_una == s.snd_nxt or s.snd_una >= max(lost) + MSS
@@ -270,7 +270,7 @@ class TestSackRecovery:
         lost = segs[0]
         retransmitted = []
         for seg in segs[1:]:
-            for emitted in s.on_ack(r.on_data(seg, 30.0), 30.0):
+            for emitted in s.on_ack(r.on_data(seg), 30.0):
                 if emitted.seq < s.recovery_point:
                     retransmitted.append(emitted.seq)
         assert retransmitted.count(lost.seq) == 1
@@ -367,7 +367,7 @@ class TestRtoEstimator:
     def test_first_sample_sets_mean_and_half_deviation(self):
         s, r = make_sender(), make_receiver()
         seg = s.start(0.0)[0]
-        s.on_ack(r.on_data(seg, 0.05), 0.1)
+        s.on_ack(r.on_data(seg), 0.1)
         assert s.srtt == pytest.approx(0.1)
         assert s.rttvar == pytest.approx(0.05)
         # mean + 4 deviations = 0.3, rounded up to coarse ticks
@@ -377,13 +377,13 @@ class TestRtoEstimator:
         # 0.2 + 4 * 0.1 is 3.0000000000000004 ticks of 0.2 s: three ticks.
         s, r = make_sender(), make_receiver()
         seg = s.start(0.0)[0]
-        s.on_ack(r.on_data(seg, 0.1), 0.2)
+        s.on_ack(r.on_data(seg), 0.2)
         assert s.rto == 3 * 0.2
 
     def test_tiny_samples_hit_the_tick_floor(self):
         s, r = make_sender(), make_receiver()
         seg = s.start(0.0)[0]
-        s.on_ack(r.on_data(seg, 0.0005), 0.001)
+        s.on_ack(r.on_data(seg), 0.001)
         assert s.rto == pytest.approx(0.2)
 
     def test_exact_multiple_stays_put(self):
@@ -419,30 +419,30 @@ class TestRtoEstimator:
 class TestReceiver:
     def test_in_order_delivery_counts_once(self):
         r = make_receiver()
-        a1 = r.on_data(Segment(0, seq=0, payload=MSS), 0.0)
+        a1 = r.on_data(Segment(0, seq=0, payload=MSS))
         assert a1.ack_no == MSS and r.delivered_bytes == MSS
-        a2 = r.on_data(Segment(0, seq=0, payload=MSS), 0.1)
+        a2 = r.on_data(Segment(0, seq=0, payload=MSS))
         assert a2.ack_no == MSS and r.delivered_bytes == MSS
 
     def test_gap_then_cumulative_jump(self):
         r = make_receiver()
-        r.on_data(Segment(0, seq=MSS, payload=MSS), 0.0)
-        r.on_data(Segment(0, seq=2 * MSS, payload=MSS), 0.1)
+        r.on_data(Segment(0, seq=MSS, payload=MSS))
+        r.on_data(Segment(0, seq=2 * MSS, payload=MSS))
         assert r.rcv_nxt == 0 and r.delivered_bytes == 0
-        a = r.on_data(Segment(0, seq=0, payload=MSS), 0.2)
+        a = r.on_data(Segment(0, seq=0, payload=MSS))
         assert a.ack_no == 3 * MSS
         assert r.delivered_bytes == 3 * MSS
 
     def test_out_of_order_duplicate_changes_nothing(self):
         r = make_receiver(TcpVariant.SACK)
-        first = r.on_data(Segment(0, seq=MSS, payload=MSS), 0.0)
-        again = r.on_data(Segment(0, seq=MSS, payload=MSS), 0.1)
+        first = r.on_data(Segment(0, seq=MSS, payload=MSS))
+        again = r.on_data(Segment(0, seq=MSS, payload=MSS))
         assert (again.ack_no, again.sack_blocks) == (first.ack_no, first.sack_blocks)
         assert r._ooo == [(MSS, 2 * MSS)] and r.delivered_bytes == 0
 
     def test_plain_variant_reports_no_blocks(self):
         r = make_receiver(TcpVariant.RENO)
-        a = r.on_data(Segment(0, seq=MSS, payload=MSS), 0.0)
+        a = r.on_data(Segment(0, seq=MSS, payload=MSS))
         assert a.sack_blocks == ()
 
     def test_block_report_most_recent_first_max_three(self):
@@ -450,7 +450,7 @@ class TestReceiver:
         msses = [1, 3, 5, 7]
         last = None
         for k in msses:
-            last = r.on_data(Segment(0, seq=k * MSS, payload=MSS), float(k))
+            last = r.on_data(Segment(0, seq=k * MSS, payload=MSS))
         blocks = last.sack_blocks
         assert len(blocks) == 3
         assert blocks[0] == (7 * MSS, 8 * MSS)
@@ -458,9 +458,9 @@ class TestReceiver:
 
     def test_bridging_segment_merges_blocks(self):
         r = make_receiver(TcpVariant.SACK)
-        r.on_data(Segment(0, seq=MSS, payload=MSS), 0.0)
-        r.on_data(Segment(0, seq=3 * MSS, payload=MSS), 0.1)
-        a = r.on_data(Segment(0, seq=2 * MSS, payload=MSS), 0.2)
+        r.on_data(Segment(0, seq=MSS, payload=MSS))
+        r.on_data(Segment(0, seq=3 * MSS, payload=MSS))
+        a = r.on_data(Segment(0, seq=2 * MSS, payload=MSS))
         assert a.sack_blocks == ((MSS, 4 * MSS),)
 
 
@@ -575,7 +575,7 @@ class TestEndpointInvariants:
                 continue
             out = ()
             if pending is data:
-                acks.append(r.on_data(seg, now))
+                acks.append(r.on_data(seg))
             else:
                 out = s.on_ack(seg, now)
                 data.extend(out)
