@@ -42,16 +42,18 @@ or from ``validate --seed``, exits 2 naming ``seed`` before any run.
 
 Sweep cells are ordered variant-major, then tcp, then delay; the cell at
 index ``i`` runs with seed ``(base_seed * 1000003 + i) % 2**31`` so any cell
-is reproducible from the base seed alone.  ``sweep --jobs N`` runs up to
+is reproducible from the base seed alone.  Every cell is checked before
+``--out`` is opened or any cell runs.  ``sweep --jobs N`` runs up to
 ``min(N, os.cpu_count(), cells)`` cells at once, each in its own child
 made by ``os.fork``, which pipes its result back (see
 ``redqsim.parallel``); rows, diagnostics and the exit code are emitted in
 cell order, so the output, exit code included, is byte-identical to
 ``--jobs 1``, the default, which runs every cell in this process.
 
-Exit codes: 0 success; 1 validator threshold breach; 2 configuration error
-(message names the offending field; an ``--out`` path that cannot be opened
-for writing is one too, found before any run); 3 runtime diagnostic, printed to
+Exit codes: 0 success; 1 validator threshold breach; 2 configuration error,
+found before any run (message names the offending field; an ``--out`` path
+that cannot be opened for writing is one too), or output that cannot be
+written or closed (``out``); 3 runtime diagnostic, printed to
 stderr: a stalled run (the event queue drained before the configured
 duration, or no packet reached the bottleneck), a group with no bottleneck
 arrival in the measurement window (its ``plr`` field is empty), or a
@@ -64,7 +66,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import io
 import itertools
 import os
@@ -296,8 +297,17 @@ def _open_out(out_path: str | None, stdout: io.TextIOBase):
         raise ConfigError("out", f"cannot write {out_path!r}: {exc.strerror}") from None
 
 
+def _write_failed(out_path: str | None, exc: OSError, stderr) -> int:
+    """Exit 2 naming out: the output could not be written or closed."""
+    where = "stdout" if out_path is None else repr(out_path)
+    stderr.write(f"config error: out: cannot write {where}: {exc.strerror}\n")
+    return EXIT_CONFIG
+
+
 def _write_csv(lines: list[str], out: io.TextIOBase) -> None:
+    # Flushed here, or a full stdout would fail only at interpreter exit.
     out.write("\n".join([",".join(CSV_COLUMNS)] + lines) + "\n")
+    out.flush()
 
 
 def _resolve_seed(flag_seed: int | None, env: dict, file_seed: int) -> int:
@@ -335,40 +345,33 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    with out as handle:
-        report = run_scenario(scenario)
-        _write_csv(report_rows(report), handle)
+    try:  # whole: a buffered file may fail only at its close
+        with out as handle:
+            report = run_scenario(scenario)
+            _write_csv(report_rows(report), handle)
+    except OSError as exc:
+        return _write_failed(out_path, exc, stderr)
     problems = runtime_problems(report)
     for line in problems:
         stderr.write(f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
     return EXIT_RUNTIME if problems else EXIT_OK
 
 
-def sweep_cells(variants, tcps, delays_ms, base_seed):
-    """Deterministic sweep order with per-cell derived seeds."""
+def sweep_cells(base: Scenario, variants, tcps, delays_ms) -> list[Scenario]:
+    """Every cell's Scenario in sweep order, each seeded from the base seed
+    and its index; the first invalid cell raises its ConfigError."""
     grid = itertools.product(variants, tcps, delays_ms)
-    return [(variant, tcp, delay,
-             (base_seed * SWEEP_SEED_MULTIPLIER + index) % SWEEP_SEED_MODULUS)
+    return [base.with_cell(name=f"{base.name}/{variant.value}-{tcp.value}-{delay:g}ms",
+                           red_variant=variant, tcp_variant=tcp, bottleneck_delay_s=delay / 1e3,
+                           seed=(base.seed * SWEEP_SEED_MULTIPLIER + index) % SWEEP_SEED_MODULUS)
             for index, (variant, tcp, delay) in enumerate(grid)]
 
 
-def sweep_cell(base: Scenario, cell) -> tuple[list[str], list[str], int]:
+def sweep_cell(scenario: Scenario) -> tuple[list[str], list[str], int]:
     """Run one sweep cell: its CSV rows, its stderr lines and its exit code."""
-    variant, tcp, delay, seed = cell
-    cell_name = f"{base.name}/{variant.value}-{tcp.value}-{delay:g}ms"
-    try:
-        scenario = base.with_cell(
-            name=cell_name,
-            red_variant=variant,
-            tcp_variant=tcp,
-            bottleneck_delay_s=delay / 1e3,
-            seed=seed,
-        )
-    except ValueError as exc:
-        return [], [f"cell {cell_name}: config error: {exc}\n"], EXIT_CONFIG
     report = run_scenario(scenario)
     problems = runtime_problems(report)
-    messages = [f"cell {cell_name}: runtime diagnostic: {line}\n" for line in problems]
+    messages = [f"cell {scenario.name}: runtime diagnostic: {line}\n" for line in problems]
     return report_rows(report), messages, EXIT_RUNTIME if problems else EXIT_OK
 
 
@@ -391,21 +394,23 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
             raise ConfigError("sweep", "sweep needs at least one variant, one tcp, and one delay")
         if jobs < 1:
             raise ConfigError("jobs", f"--jobs must be >= 1, got {jobs}")
+        cells = sweep_cells(base, variants, tcps, delays)
         out = _open_out(out_path, stdout)
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 
-    cells = sweep_cells(variants, tcps, delays, base.seed)
     lines: list[str] = []
     worst = EXIT_OK
-    with out as handle:
-        for rows, messages, code in ordered_map(functools.partial(sweep_cell, base),
-                                                cells, jobs):
-            lines.extend(rows)
-            stderr.writelines(messages)
-            worst = max(worst, code)
-        _write_csv(lines, handle)
+    try:
+        with out as handle:  # caught whole, as in cmd_run
+            for rows, messages, code in ordered_map(sweep_cell, cells, jobs):
+                lines.extend(rows)
+                stderr.writelines(messages)
+                worst = max(worst, code)
+            _write_csv(lines, handle)
+    except OSError as exc:
+        return _write_failed(out_path, exc, stderr)
     return worst
 
 
@@ -452,17 +457,21 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
     sampled = montecarlo_interdrop(variant, p_b, stream, trials=trials, seed=seed)
     tv = tv_distance(exact, sampled)
 
-    stdout.write(f"variant={variant.value} p_b={p_b:g} sizes={list(sizes)} "
-                 f"max_size={max_size} trials={trials} seed={seed}\n")
-    stdout.write("   n   closed-form   monte-carlo\n")
-    support = sorted(set(exact.pmf) | set(sampled.pmf))
-    shown = support if len(support) <= 60 else support[:60]
-    for n in shown:
-        stdout.write(f"{n:4d}   {exact.probability(n):11.6f}   {sampled.probability(n):11.6f}\n")
-    if len(support) > len(shown):
-        stdout.write(f"... ({len(support) - len(shown)} more support points)\n")
-    verdict = "OK" if tv < VALIDATE_TV_THRESHOLD else "BREACH"
-    stdout.write(f"TV distance = {tv:.6f} (threshold {VALIDATE_TV_THRESHOLD}) {verdict}\n")
+    try:  # a failed write must not exit 1, as a breach does
+        stdout.write(f"variant={variant.value} p_b={p_b:g} sizes={list(sizes)} "
+                     f"max_size={max_size} trials={trials} seed={seed}\n")
+        stdout.write("   n   closed-form   monte-carlo\n")
+        support = sorted(set(exact.pmf) | set(sampled.pmf))
+        shown = support if len(support) <= 60 else support[:60]
+        for n in shown:
+            stdout.write(f"{n:4d}   {exact.probability(n):11.6f}   {sampled.probability(n):11.6f}\n")
+        if len(support) > len(shown):
+            stdout.write(f"... ({len(support) - len(shown)} more support points)\n")
+        verdict = "OK" if tv < VALIDATE_TV_THRESHOLD else "BREACH"
+        stdout.write(f"TV distance = {tv:.6f} (threshold {VALIDATE_TV_THRESHOLD}) {verdict}\n")
+        stdout.flush()
+    except OSError as exc:
+        return _write_failed(None, exc, stderr)
     return EXIT_OK if tv < VALIDATE_TV_THRESHOLD else EXIT_THRESHOLD
 
 

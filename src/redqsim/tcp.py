@@ -16,16 +16,17 @@ of the constant TIMER_GRANULARITY_S, at least MIN_RTO_TICKS, backed off
 exponentially and capped at 64 seconds.  Timing samples are only taken
 from segments sent exactly once.  After a timeout the sender rewinds
 its send frontier to the oldest unacknowledged byte and streams forward
-again; the receiver discards whatever it already holds.
+again; the receiver discards whatever it already holds.  Each endpoint
+takes the values it reads as arguments, with no settings object.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 HEADER_BYTES = 40
+RCV_WND = 1_048_576
 RTT_GAIN = 0.125
 RTTVAR_GAIN = 0.25
 MAX_RTO_S = 64.0
@@ -70,24 +71,6 @@ class Segment:
         self.wire_bytes = payload + HEADER_BYTES
 
 
-@dataclass(frozen=True)
-class TcpConfig:
-    """Per-group settings, read once by each endpoint and not kept."""
-
-    variant: TcpVariant = TcpVariant.RENO
-    mss: int = 1460
-    rcv_wnd: int = 1_048_576
-
-    def __post_init__(self) -> None:
-        for field_name in ("mss", "rcv_wnd"):
-            if not isinstance(getattr(self, field_name), int):
-                raise ValueError(f"{field_name} must be an integer")
-        if self.mss < 1:
-            raise ValueError("mss must be >= 1")
-        if self.rcv_wnd < 2 * self.mss:
-            raise ValueError("rcv_wnd must hold at least two segments")
-
-
 def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     if not ranges:
         return []
@@ -111,8 +94,8 @@ class TcpSender:
     the clock at exactly rto_deadline (None means no timer is running).
     Any entry point may move the deadline earlier or later.
 
-    The segment size, the receiver window as a float and the recovery
-    flavor are read from the config at construction; it is not kept.
+    mss and rcv_wnd are whole bytes, and rcv_wnd holds two segments so
+    that start() always sends one; other values raise ValueError.
     """
 
     __slots__ = ("flow_id", "_mss", "_rcv_wnd", "_sack", "cwnd",
@@ -122,11 +105,19 @@ class TcpSender:
                  "_retx_ranges", "segments_sent", "retransmits",
                  "fast_retransmits", "timeouts", "started")
 
-    def __init__(self, flow_id: int, config: TcpConfig):
+    def __init__(self, flow_id: int, variant: TcpVariant, mss: int,
+                 rcv_wnd: int = RCV_WND):
+        for field_name, value in (("mss", mss), ("rcv_wnd", rcv_wnd)):
+            if not isinstance(value, int):
+                raise ValueError(f"{field_name} must be an integer")
+        if mss < 1:
+            raise ValueError("mss must be >= 1")
+        if rcv_wnd < 2 * mss:
+            raise ValueError("rcv_wnd must hold at least two segments")
         self.flow_id = flow_id
-        mss = self._mss = config.mss
-        self._rcv_wnd = float(config.rcv_wnd)
-        self._sack = config.variant is _SACK
+        self._mss = mss
+        self._rcv_wnd = float(rcv_wnd)
+        self._sack = variant is _SACK
         self.cwnd: float = float(mss)
         self.ssthresh: float = self._rcv_wnd
         self.snd_una = 0
@@ -399,15 +390,15 @@ class TcpReceiver:
     """Reassembling receiver: cumulative ACK per segment, gap reports.
 
     delivered_bytes counts each payload byte once, at the moment the
-    in-order frontier first covers it.
+    in-order frontier first covers it.  It reads only the variant.
     """
 
     __slots__ = ("flow_id", "_sack", "rcv_nxt", "delivered_bytes", "_ooo",
                  "_recent")
 
-    def __init__(self, flow_id: int, config: TcpConfig):
+    def __init__(self, flow_id: int, variant: TcpVariant):
         self.flow_id = flow_id
-        self._sack = config.variant is _SACK
+        self._sack = variant is _SACK
         self.rcv_nxt = 0
         self.delivered_bytes = 0
         self._ooo: list[tuple[int, int]] = []

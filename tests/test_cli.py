@@ -1,10 +1,13 @@
 """Tests for the command-line interface: parsing, CSV emission, exit codes."""
 
 import dataclasses
+import errno
 import io
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -349,15 +352,17 @@ class TestRunCommand:
 
 class TestSweepCommand:
     def test_cell_seeds_derive_from_base_seed_and_index(self):
+        base = cli.parse_scenario_text(SCENARIO_TEXT)
         cells = cli.sweep_cells(
-            [RedVariant.RED_1, RedVariant.RED_2], [TcpVariant.RENO],
-            [15.0, 80.0], base_seed=5)
-        assert [c[3] for c in cells] == [
+            base, [RedVariant.RED_1, RedVariant.RED_2], [TcpVariant.RENO], [15.0, 80.0])
+        assert [c.seed for c in cells] == [
             (5 * cli.SWEEP_SEED_MULTIPLIER + i) % cli.SWEEP_SEED_MODULUS
             for i in range(4)
         ]
-        assert [(c[0].value, c[2]) for c in cells] == [
-            ("RED_1", 15.0), ("RED_1", 80.0), ("RED_2", 15.0), ("RED_2", 80.0)]
+        assert [(c.name, c.red_variant, c.tcp_variant, c.bottleneck_delay_s)
+                for c in cells] == [
+            (f"cli-test/{v.value}-reno-{d:g}ms", v, TcpVariant.RENO, d / 1e3)
+            for v in (RedVariant.RED_1, RedVariant.RED_2) for d in (15.0, 80.0)]
 
     def test_grid_rows_and_deterministic_order(self, scenario_file):
         rc, out, err = run_cli(
@@ -423,6 +428,24 @@ class TestSweepCommand:
         assert rc == cli.EXIT_CONFIG
         assert err.startswith("config error: jobs: ")
         assert out == ""
+
+    # The -1 ms cells are invalid, so nothing runs: no child, no row, and an
+    # earlier --out file keeps its bytes.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bad_cell_exits_2_before_any_cell_runs(self, scenario_file, tmp_path,
+                                                   monkeypatch, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "start_child", _no_fork)
+        monkeypatch.setattr(cli, "run_scenario", _no_run)
+        out_path = tmp_path / "earlier.csv"
+        out_path.write_bytes(b"an earlier sweep\n")
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_sweep(scenario_file, "RED_1,RED_5", "reno", "15,-1",
+                                      str(out_path), None, jobs, env={}, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err == "config error: bottleneck_delay_ms: must be >= 0\n"
+        assert out == ""
+        assert out_path.read_bytes() == b"an earlier sweep\n"
 
     def test_one_cpu_runs_cells_inline(self, scenario_file, monkeypatch):
         monkeypatch.setattr(parallel, "start_child", _no_fork)
@@ -502,6 +525,27 @@ class TestBadInputBeforeAnyRun:
         assert out == ""
         assert err == "config error: seed: must be >= 0\n"
 
+    # Two segments of mtu - 40 bytes must fit the senders' receive window.
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "{scn}"],
+        *(["sweep", "--base", "{scn}", "--variants", "RED_1,RED_3", "--tcp", "reno",
+           "--delays-ms", "15", "--jobs", jobs] for jobs in ("1", "2")),
+    ], ids=["run", "sweep-jobs-1", "sweep-jobs-2"])
+    def test_mtu_over_the_window_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                   argv):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "start_child", _no_fork)
+        monkeypatch.setattr(cli, "run_scenario", _no_run)
+        path = tmp_path / "jumbo.scn"
+        path.write_text(SCENARIO_TEXT.replace("max_packet_size = 1500",
+                                              "max_packet_size = 1000000")
+                        .replace("mtu = 1500", "mtu = 600000"))
+        assert cli.main([arg.format(scn=path) for arg in argv]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: mtu: group 'large' mtu exceeds 524328")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("name", ["a\rb", "a\nb"], ids=["cr", "lf"])
     def test_line_break_in_name_rejected(self, name):
         scenario = cli.parse_scenario_text(SCENARIO_TEXT)
@@ -519,6 +563,70 @@ class TestBadInputBeforeAnyRun:
         assert cli.main(argv + ["--out", str(out_path)]) == cli.EXIT_OK
         assert capsys.readouterr().out == ""
         assert out_path.read_bytes() == printed.encode()
+
+
+# ---------------------------------------------------------------
+# output that cannot be written
+# ---------------------------------------------------------------
+
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails as write(2) does."""
+
+    def write(self, _text):
+        raise OSError(errno.ENOSPC, NO_SPACE)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs the /dev/full device")
+
+
+# Each subcommand, given a scenario file and its stdout and stderr.
+SUBCOMMANDS = {
+    "run": lambda scn, **k: cli.cmd_run(scn, None, None, env={}, **k),
+    "sweep": lambda scn, **k: cli.cmd_sweep(scn, "RED_1", "reno", "15", None, None,
+                                            env={}, **k),
+    "validate": lambda _scn, **k: cli.cmd_validate("RED_1", 0.1, "1500", 1500, 120_000,
+                                                   3, **k),
+}
+
+
+class TestOutputThatCannotBeWritten:
+    @pytest.mark.parametrize("call", SUBCOMMANDS.values(), ids=list(SUBCOMMANDS))
+    def test_failed_write_to_stdout_exits_2_naming_out(self, scenario_file, call):
+        err = io.StringIO()
+        assert call(scenario_file, stdout=FullStdout(), stderr=err) == cli.EXIT_CONFIG
+        assert err.getvalue() == f"config error: out: cannot write stdout: {NO_SPACE}\n"
+
+    @needs_dev_full
+    @commands
+    def test_out_on_a_full_device_exits_2_naming_it(self, scenario_file, capsys, argv):
+        argv = [arg.format(scn=scenario_file) for arg in argv] + ["--out", "/dev/full"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: out: cannot write '/dev/full': {NO_SPACE}\n"
+
+    # A real stdout buffers what it is given, so the failure shows only
+    # when it is flushed.
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "{scn}"],
+        ["sweep", "--base", "{scn}", "--variants", "RED_1", "--tcp", "reno",
+         "--delays-ms", "15"],
+        ["validate", "--variant", "RED_1", "--pb", "0.1", "--sizes", "1500"],
+    ], ids=["run", "sweep", "validate"])
+    def test_stdout_on_a_full_device_exits_2_naming_out(self, scenario_file, argv):
+        code = "import sys; from redqsim.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *(a.format(scn=scenario_file) for a in argv)],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert proc.stderr == f"config error: out: cannot write stdout: {NO_SPACE}\n"
 
 
 # ---------------------------------------------------------------

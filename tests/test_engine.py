@@ -23,7 +23,7 @@ from redqsim.engine import (
     run_scenario,
 )
 from redqsim.red import RedParams, RedVariant, Verdict
-from redqsim.tcp import Segment, TcpSender, TcpVariant
+from redqsim.tcp import HEADER_BYTES, RCV_WND, Segment, TcpSender, TcpVariant
 
 THREE_GROUPS = (
     FlowGroup("large", 20, 1500),
@@ -225,12 +225,23 @@ class TestScenarioValidation:
             (dict(bottleneck_delay_s=float("nan")), "bottleneck_delay_ms"),
             (dict(access_delay_s=float("nan")), "access_delay_ms"),
             (dict(groups=()), "group"),
+            (dict(groups=(FlowGroup("g", 1, 1500.0),)), "mtu"),
+            (dict(groups=(FlowGroup("g", 1.5, 1500),)), "flows"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):
         with pytest.raises(ConfigError) as err:
             make_scenario(**overrides)
         assert err.value.field == field
+
+    def test_largest_mtu_builds_and_one_byte_more_is_refused(self):
+        # Scenario's bound is the senders' own: two segments per window.
+        red = RedParams(max_packet_size=10**6)
+        largest = RCV_WND // 2 + HEADER_BYTES
+        DumbbellSim(make_scenario(red=red, groups=(FlowGroup("g", 1, largest),)))
+        with pytest.raises(ConfigError) as err:
+            make_scenario(red=red, groups=(FlowGroup("g", 1, largest + 1),))
+        assert err.value.field == "mtu"
 
 
 # ---------------------------------------------------------------

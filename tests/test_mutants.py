@@ -21,8 +21,10 @@ shows up.
 import __future__
 import inspect
 import os
+import pathlib
 import re
 import sys
+import tempfile
 import textwrap
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +39,7 @@ import test_red
 import test_sender_model
 import test_tcp
 from redqsim import cli, droplaw, engine, metrics, parallel, red, tcp
+from redqsim.engine import FlowGroup
 from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
@@ -110,6 +113,25 @@ def on_two_cpus(check):
         check(monkeypatch)
 
     return run
+
+
+def with_scenario_file(check):
+    """check(monkeypatch, tmp_path, scenario_file), with test_cli's scenario
+    written into a fresh directory."""
+    def run(monkeypatch):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "base.scn"
+            path.write_text(test_cli.SCENARIO_TEXT)
+            check(monkeypatch, pathlib.Path(tmp), str(path))
+
+    return run
+
+
+def full_stdout(subcommand):
+    """test_cli's failed-write check of one subcommand."""
+    test = test_cli.TestOutputThatCannotBeWritten().test_failed_write_to_stdout_exits_2_naming_out
+    return with_scenario_file(
+        lambda _mp, _tmp_path, scn: test(scn, test_cli.SUBCOMMANDS[subcommand]))
 
 
 RENO, SACK = TcpVariant.RENO, TcpVariant.SACK
@@ -269,6 +291,31 @@ MUTANTS = [
            "if seed < 0:", "if False:",
            lambda mp: test_cli.TestValidateCommand().test_bad_input_exits_2_naming_field(
                mp, "RED_3", 0.05, "1500,750", -1, "seed")),
+    # One gate for a valid run: Scenario checks what the endpoints rely on,
+    # a sweep checks its grid before it opens --out, and a failed write of
+    # the output exits 2.
+    Mutant("mtu bound by the receive window dropped", engine.Scenario, "__post_init__",
+           "if g.mtu > RCV_WND // 2 + HEADER_BYTES:", "if False:",
+           lambda _mp: test_engine.TestScenarioValidation()
+           .test_largest_mtu_builds_and_one_byte_more_is_refused(),
+           raises=pytest.fail.Exception),
+    Mutant("flows and mtu taken without the integer check", engine.Scenario,
+           "__post_init__", "if not isinstance(value, int):", "if False:",
+           lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
+               dict(groups=(FlowGroup("g", 1, 1500.0),)), "mtu"),
+           raises=pytest.fail.Exception),
+    Mutant("sweep cells built after --out is opened", cli, "cmd_sweep",
+           "        cells = sweep_cells(base, variants, tcps, delays)\n"
+           "        out = _open_out(out_path, stdout)\n",
+           "        out = _open_out(out_path, stdout)\n"
+           "        cells = sweep_cells(base, variants, tcps, delays)\n",
+           with_scenario_file(lambda mp, tmp_path, scn: test_cli.TestSweepCommand()
+                              .test_bad_cell_exits_2_before_any_cell_runs(scn, tmp_path,
+                                                                          mp, 1))),
+    *(Mutant(f"{name}: a failed output write left uncaught", cli, f"cmd_{name}",
+             "except OSError as exc:", "except ZeroDivisionError as exc:",
+             full_stdout(name), raises=OSError)
+      for name in ("run", "sweep", "validate")),
     # The fork protocol of the parallel map.
     Mutant("parent does not flush before forking", parallel, "start_child",
            "sys.stdout.flush()", "None",

@@ -289,7 +289,7 @@ def _no_fork(*_args, **_kwargs):
 
 def _sweep(path, jobs):
     out, err = io.StringIO(), io.StringIO()
-    rc = cli.cmd_sweep(path, "RED_4", "reno,sack", "15,-1,80", None, None, jobs,
+    rc = cli.cmd_sweep(path, "RED_4", "reno,sack", "15,80", None, None, jobs,
                        env={}, stdout=out, stderr=err)
     return rc, out.getvalue(), err.getvalue()
 
@@ -301,8 +301,7 @@ class TestParallelSweep:
         path = tmp_path / "par.scn"
         path.write_text(SMALL_TEXT)
 
-        # One cell is starved of access bandwidth, so it stalls (exit 3);
-        # the -1 ms cells fail in with_cell (config error).
+        # One cell is starved of access bandwidth, so it stalls (exit 3).
         def starve_one(scenario):
             if scenario.name == "par/RED_4-sack-15ms":
                 scenario = dataclasses.replace(scenario, access_rate_bps=1e-3)
@@ -312,7 +311,7 @@ class TestParallelSweep:
         serial = _sweep(str(path), 1)
         assert forks == []
         parallel_run = _sweep(str(path), 2)
-        assert len(forks) == 6
+        assert len(forks) == 4
         assert child_pids(os.getpid()) == set()
 
         assert parallel_run == serial
@@ -320,12 +319,7 @@ class TestParallelSweep:
         assert rc == cli.EXIT_RUNTIME
         assert len(out.splitlines()) == 1 + 4 * 2
         assert [line.split(": ")[:2] for line in err.splitlines()] == [
-            ["cell par/RED_4-reno--1ms", "config error"],
-            ["cell par/RED_4-sack-15ms", "runtime diagnostic"],
-            ["cell par/RED_4-sack-15ms", "runtime diagnostic"],
-            ["cell par/RED_4-sack-15ms", "runtime diagnostic"],
-            ["cell par/RED_4-sack--1ms", "config error"],
-        ]
+            ["cell par/RED_4-sack-15ms", "runtime diagnostic"]] * 3
         assert "stalled: no packet reached the bottleneck in 3 s" in err
 
     @needs_proc

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from redqsim.tcp import (
     MAX_SACK_BLOCKS,
     Segment,
-    TcpConfig,
     TcpReceiver,
     TcpVariant,
     _merge_ranges,
@@ -27,9 +26,9 @@ MSS = 100
 class ReferenceReceiver:
     """TcpReceiver.on_data without the fast path (seg.end spelled out)."""
 
-    def __init__(self, flow_id: int, config: TcpConfig):
+    def __init__(self, flow_id: int, variant: TcpVariant, mss: int, rcv_wnd: int):
         self.flow_id = flow_id
-        self.config = config
+        self.variant = variant
         self.rcv_nxt = 0
         self.delivered_bytes = 0
         self._ooo: list[tuple[int, int]] = []
@@ -70,7 +69,7 @@ class ReferenceReceiver:
             self._ooo = _merge_ranges(self._ooo + [(start, end)])
             self._touch_block(start, end)
         blocks: tuple[tuple[int, int], ...] = ()
-        if self.config.variant is TcpVariant.SACK:
+        if self.variant is TcpVariant.SACK:
             blocks = tuple(self._recent[:MAX_SACK_BLOCKS])
         return Segment(
             self.flow_id, is_ack=True, ack_no=self.rcv_nxt, sack_blocks=blocks
@@ -93,8 +92,7 @@ STEPS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(variant=st.sampled_from(list(TcpVariant)), steps=STEPS)
 def test_fast_path_matches_the_reference_receiver(variant, steps):
-    config = TcpConfig(variant=variant, mss=MSS, rcv_wnd=64 * MSS)
-    fast, ref = TcpReceiver(0, config), ReferenceReceiver(0, config)
+    fast, ref = TcpReceiver(0, variant), ReferenceReceiver(0, variant, MSS, 64 * MSS)
     sent: list[Segment] = []
     for kind, offset, length in steps:
         if kind == "repeat" and sent:

@@ -4,7 +4,7 @@ ReferenceSender is TcpSender as it was before its per-ACK path was cut
 down: _on_new_ack takes the RTT sample through _take_sample and re-arms
 the timer through _arm_timer, _fill_window asks _make_segment for one
 segment at a time, and every window test reads the outstanding property
-and config.  Random runs of deliveries, losses, reordering and timeouts
+and the rcv_wnd it was built with.  Random runs of deliveries, losses, reordering and timeouts
 go to both senders with one clock, and after every call their segments
 and their state must be identical.
 """
@@ -22,7 +22,6 @@ from redqsim.tcp import (
     RTTVAR_GAIN,
     TIMER_GRANULARITY_S,
     Segment,
-    TcpConfig,
     TcpReceiver,
     TcpSender,
     TcpVariant,
@@ -35,12 +34,11 @@ MSS = 100
 class ReferenceSender:
     """TcpSender as it was before the per-ACK path was batched."""
 
-    def __init__(self, flow_id: int, config: TcpConfig):
+    def __init__(self, flow_id: int, variant: TcpVariant, mss: int, rcv_wnd: int):
         self.flow_id = flow_id
-        self.config = config
-        mss = config.mss
+        self.variant, self.mss, self.rcv_wnd = variant, mss, rcv_wnd
         self.cwnd: float = float(mss)
-        self.ssthresh: float = float(config.rcv_wnd)
+        self.ssthresh: float = float(rcv_wnd)
         self.snd_una = 0
         self.snd_nxt = 0
         self.max_sent = 0
@@ -72,7 +70,7 @@ class ReferenceSender:
         return self.snd_nxt - self.snd_una
 
     def _window(self) -> float:
-        return min(self.cwnd, float(self.config.rcv_wnd))
+        return min(self.cwnd, float(self.rcv_wnd))
 
     def _sacked_bytes(self) -> int:
         return sum(end - start for start, end in self.sack_scoreboard)
@@ -141,7 +139,7 @@ class ReferenceSender:
         return Segment(self.flow_id, seq=seq, payload=length)
 
     def _fill_window(self, now: float) -> list[Segment]:
-        mss = self.config.mss
+        mss = self.mss
         window = self._window()
         out = []
         while self.outstanding + mss <= window:
@@ -167,7 +165,7 @@ class ReferenceSender:
         return None
 
     def _retransmit(self, seq: int, now: float) -> Segment:
-        length = min(self.config.mss, self.recovery_point - seq)
+        length = min(self.mss, self.recovery_point - seq)
         self._invalidate_sample_if_hit(seq, seq + length)
         self._retx_ranges.append((seq, seq + length))
         self._retx_ranges = _merge_ranges(self._retx_ranges)
@@ -178,13 +176,13 @@ class ReferenceSender:
     def _emit_recovery(self, now: float) -> list[Segment]:
         # Selective recovery: refill holes first, then new data, while
         # the estimated in-flight volume stays under the window.
-        mss = self.config.mss
+        mss = self.mss
         out = []
         while self._pipe() + mss <= self._window():
             hole = self._next_hole()
             if hole is not None:
                 out.append(self._retransmit(hole, now))
-            elif self.outstanding + mss <= self.config.rcv_wnd:
+            elif self.outstanding + mss <= self.rcv_wnd:
                 out.append(self._make_segment(self.snd_nxt, mss, now))
                 self.snd_nxt += mss
             else:
@@ -207,7 +205,7 @@ class ReferenceSender:
     def on_ack(self, seg: Segment, now: float) -> list[Segment]:
         if not seg.is_ack:
             raise ValueError("sender expects acknowledgment segments")
-        if self.config.variant is TcpVariant.SACK and seg.sack_blocks:
+        if self.variant is TcpVariant.SACK and seg.sack_blocks:
             usable = [
                 (max(s, self.snd_una), e)
                 for s, e in seg.sack_blocks
@@ -221,7 +219,7 @@ class ReferenceSender:
         return []
 
     def _on_new_ack(self, ack_no: int, now: float) -> list[Segment]:
-        mss = self.config.mss
+        mss = self.mss
         self._take_sample(ack_no, now)
         self.snd_una = ack_no
         if self.snd_nxt < ack_no:
@@ -234,7 +232,7 @@ class ReferenceSender:
             ]
         if self.in_recovery:
             # Plain recovery ends on any advance, selective at the frontier.
-            if (self.config.variant is TcpVariant.RENO
+            if (self.variant is TcpVariant.RENO
                     or ack_no >= self.recovery_point):
                 self.cwnd = self.ssthresh
                 self.in_recovery = False
@@ -257,10 +255,10 @@ class ReferenceSender:
         return out
 
     def _on_duplicate_ack(self, now: float) -> list[Segment]:
-        mss = self.config.mss
+        mss = self.mss
         self.dupacks += 1
         if self.in_recovery:
-            if self.config.variant is TcpVariant.RENO:
+            if self.variant is TcpVariant.RENO:
                 self.cwnd += mss  # inflate per extra duplicate
                 return self._fill_window(now)
             return self._emit_recovery(now)
@@ -272,7 +270,7 @@ class ReferenceSender:
         self.recovery_point = self.snd_nxt
         self.fast_retransmits += 1
         out = [self._retransmit(self.snd_una, now)]
-        if self.config.variant is TcpVariant.RENO:
+        if self.variant is TcpVariant.RENO:
             self.cwnd = self.ssthresh + 3.0 * mss
             self._retx_ranges = []  # plain recovery does not track refills
         else:
@@ -285,7 +283,7 @@ class ReferenceSender:
         if self.outstanding == 0:
             self.rto_deadline = None
             return []
-        mss = self.config.mss
+        mss = self.mss
         self.timeouts += 1
         self.ssthresh = max(self.cwnd / 2.0, 2.0 * mss)
         self.cwnd = float(mss)
@@ -332,9 +330,9 @@ def test_batched_sender_matches_the_reference_sender(variant, wnd_segments, loss
     # reorder; a step that would reach the retransmission deadline fires
     # the timer at exactly that time instead, as the timer contract asks.
     rng = random.Random(seed)
-    config = TcpConfig(variant=variant, mss=MSS, rcv_wnd=wnd_segments * MSS)
-    fast, ref = TcpSender(0, config), ReferenceSender(0, config)
-    receiver = TcpReceiver(0, config)
+    fast = TcpSender(0, variant, MSS, wnd_segments * MSS)
+    ref = ReferenceSender(0, variant, MSS, wnd_segments * MSS)
+    receiver = TcpReceiver(0, variant)
     data, acks = [], []
     now = 0.0
 

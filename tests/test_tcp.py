@@ -12,7 +12,6 @@ from redqsim.droplaw import mathis_goodput_bound
 from redqsim.tcp import (
     HEADER_BYTES,
     Segment,
-    TcpConfig,
     TcpReceiver,
     TcpSender,
     TcpVariant,
@@ -22,11 +21,11 @@ MSS = 1460
 
 
 def make_sender(variant=TcpVariant.RENO, **kwargs) -> TcpSender:
-    return TcpSender(0, TcpConfig(variant=variant, mss=MSS, **kwargs))
+    return TcpSender(0, variant, MSS, **kwargs)
 
 
 def make_receiver(variant=TcpVariant.RENO) -> TcpReceiver:
-    return TcpReceiver(0, TcpConfig(variant=variant, mss=MSS))
+    return TcpReceiver(0, variant)
 
 
 def ack(ack_no: int, blocks=()) -> Segment:
@@ -99,7 +98,7 @@ class TestConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError, match=list(kwargs)[-1]):
-            TcpConfig(**kwargs)
+            TcpSender(0, TcpVariant.RENO, **{"mss": MSS, **kwargs})
 
     def test_segment_wire_size_includes_header(self):
         seg = Segment(0, seq=0, payload=1460)
