@@ -53,13 +53,12 @@ cell order, so the output, exit code included, is byte-identical to
 Exit codes: 0 success; 1 validator threshold breach; 2 configuration error,
 found before any run (message names the offending field; an ``--out`` path
 that cannot be opened for writing is one too), or output that cannot be
-written or closed (``out``); 3 runtime diagnostic, printed to
-stderr: a stalled run (the event queue drained before the configured
-duration, or no packet reached the bottleneck), a group with no bottleneck
-arrival in the measurement window (its ``plr`` field is empty), or a
-bottleneck audit that is not conserved (the message names the broken
-identity).  The CSV is written in full either way.  A sweep exits with the
-worst code of its cells.
+written or closed (``out``); 3 runtime diagnostic, printed to stderr: a
+stalled run (the event queue drained before the configured duration, or no
+packet reached the bottleneck), a group with no bottleneck arrival in the
+measurement window (its ``plr`` field is empty), or a bottleneck audit that
+is not conserved (the message names the broken identity).  The CSV is
+written in full either way.  A sweep exits with the worst code of its cells.
 """
 
 from __future__ import annotations
@@ -297,17 +296,22 @@ def _open_out(out_path: str | None, stdout: io.TextIOBase):
         raise ConfigError("out", f"cannot write {out_path!r}: {exc.strerror}") from None
 
 
-def _write_failed(out_path: str | None, exc: OSError, stderr) -> int:
-    """Exit 2 naming out: the output could not be written or closed."""
-    where = "stdout" if out_path is None else repr(out_path)
-    stderr.write(f"config error: out: cannot write {where}: {exc.strerror}\n")
-    return EXIT_CONFIG
-
-
-def _write_csv(lines: list[str], out: io.TextIOBase) -> None:
-    # Flushed here, or a full stdout would fail only at interpreter exit.
-    out.write("\n".join([",".join(CSV_COLUMNS)] + lines) + "\n")
-    out.flush()
+def _write_out(lines: list[str], out, out_path: str | None, stdout, stderr) -> bool:
+    """Write lines to out and close it (a buffered file may fail only there);
+    False, after one stderr line naming out, if either fails."""
+    try:
+        with out as handle:
+            handle.write("\n".join(lines) + "\n")
+            handle.flush()  # or a full stdout would fail only at interpreter exit
+    except OSError as exc:
+        if out_path is None and stdout is sys.__stdout__:  # else exit flushes it again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+        where = "stdout" if out_path is None else repr(out_path)
+        stderr.write(f"config error: out: cannot write {where}: {exc.strerror}\n")
+        return False
+    return True
 
 
 def _resolve_seed(flag_seed: int | None, env: dict, file_seed: int) -> int:
@@ -345,12 +349,9 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    try:  # whole: a buffered file may fail only at its close
-        with out as handle:
-            report = run_scenario(scenario)
-            _write_csv(report_rows(report), handle)
-    except OSError as exc:
-        return _write_failed(out_path, exc, stderr)
+    report = run_scenario(scenario)
+    if not _write_out([",".join(CSV_COLUMNS)] + report_rows(report), out, out_path, stdout, stderr):
+        return EXIT_CONFIG
     problems = runtime_problems(report)
     for line in problems:
         stderr.write(f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
@@ -358,8 +359,7 @@ def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
 
 
 def sweep_cells(base: Scenario, variants, tcps, delays_ms) -> list[Scenario]:
-    """Every cell's Scenario in sweep order, each seeded from the base seed
-    and its index; the first invalid cell raises its ConfigError."""
+    """Every cell's Scenario, in sweep order; an invalid cell raises ConfigError."""
     grid = itertools.product(variants, tcps, delays_ms)
     return [base.with_cell(name=f"{base.name}/{variant.value}-{tcp.value}-{delay:g}ms",
                            red_variant=variant, tcp_variant=tcp, bottleneck_delay_s=delay / 1e3,
@@ -400,18 +400,11 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 
-    lines: list[str] = []
-    worst = EXIT_OK
-    try:
-        with out as handle:  # caught whole, as in cmd_run
-            for rows, messages, code in ordered_map(sweep_cell, cells, jobs):
-                lines.extend(rows)
-                stderr.writelines(messages)
-                worst = max(worst, code)
-            _write_csv(lines, handle)
-    except OSError as exc:
-        return _write_failed(out_path, exc, stderr)
-    return worst
+    results = ordered_map(sweep_cell, cells, jobs)
+    stderr.writelines(line for _, messages, _ in results for line in messages)
+    lines = [",".join(CSV_COLUMNS)] + [row for rows, _, _ in results for row in rows]
+    worst = max(code for _, _, code in results)
+    return worst if _write_out(lines, out, out_path, stdout, stderr) else EXIT_CONFIG
 
 
 def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
@@ -457,21 +450,19 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
     sampled = montecarlo_interdrop(variant, p_b, stream, trials=trials, seed=seed)
     tv = tv_distance(exact, sampled)
 
-    try:  # a failed write must not exit 1, as a breach does
-        stdout.write(f"variant={variant.value} p_b={p_b:g} sizes={list(sizes)} "
-                     f"max_size={max_size} trials={trials} seed={seed}\n")
-        stdout.write("   n   closed-form   monte-carlo\n")
-        support = sorted(set(exact.pmf) | set(sampled.pmf))
-        shown = support if len(support) <= 60 else support[:60]
-        for n in shown:
-            stdout.write(f"{n:4d}   {exact.probability(n):11.6f}   {sampled.probability(n):11.6f}\n")
-        if len(support) > len(shown):
-            stdout.write(f"... ({len(support) - len(shown)} more support points)\n")
-        verdict = "OK" if tv < VALIDATE_TV_THRESHOLD else "BREACH"
-        stdout.write(f"TV distance = {tv:.6f} (threshold {VALIDATE_TV_THRESHOLD}) {verdict}\n")
-        stdout.flush()
-    except OSError as exc:
-        return _write_failed(None, exc, stderr)
+    support = sorted(set(exact.pmf) | set(sampled.pmf))
+    lines = [f"variant={variant.value} p_b={p_b:g} sizes={list(sizes)} "
+             f"max_size={max_size} trials={trials} seed={seed}",
+             "   n   closed-form   monte-carlo"]
+    lines += [f"{n:4d}   {exact.probability(n):11.6f}   {sampled.probability(n):11.6f}"
+              for n in support[:60]]
+    if len(support) > 60:
+        lines.append(f"... ({len(support) - 60} more support points)")
+    verdict = "OK" if tv < VALIDATE_TV_THRESHOLD else "BREACH"
+    lines.append(f"TV distance = {tv:.6f} (threshold {VALIDATE_TV_THRESHOLD}) {verdict}")
+    # A failed write exits 2 naming out, not 1 as a breach does.
+    if not _write_out(lines, contextlib.nullcontext(stdout), None, stdout, stderr):
+        return EXIT_CONFIG
     return EXIT_OK if tv < VALIDATE_TV_THRESHOLD else EXIT_THRESHOLD
 
 

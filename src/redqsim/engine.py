@@ -69,7 +69,7 @@ from typing import Callable
 
 from .red import (ACCEPT, FORCED_DROP_AVG, FORCED_DROP_BUFFER, RANDOM_DROP,
                   VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide)
-from .tcp import HEADER_BYTES, RCV_WND, Segment, TcpReceiver, TcpSender, TcpVariant
+from .tcp import HEADER_BYTES, MAX_MSS, Segment, TcpReceiver, TcpSender, TcpVariant
 from . import metrics
 
 
@@ -323,8 +323,7 @@ class FlowGroup:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One run's inputs.  Construction checks every rule the run relies on,
-    so a Scenario that constructs also runs; ConfigError names a broken one."""
+    """One run's inputs, checked whole: a Scenario that constructs also runs."""
 
     name: str
     red_variant: RedVariant
@@ -345,22 +344,30 @@ class Scenario:
         if any(char in self.name for char in ',"\r\n'):
             raise ConfigError("name", f"must hold no comma, double quote or line break "
                                       f"(it is an unquoted CSV field), got {self.name!r}")
-        for key, value, positive in (  # positive: 0 is refused too
-            ("duration_s", self.duration_s, True),
-            ("warmup_s", self.warmup_s, False),
-            ("bottleneck_rate_mbps", self.bottleneck_rate_bps, True),
-            ("access_rate_mbps", self.access_rate_bps, True),
-            ("bottleneck_delay_ms", self.bottleneck_delay_s, False),
-            ("access_delay_ms", self.access_delay_s, False),
+        for field_name, value in (
+            ("duration_s", self.duration_s),
+            ("warmup_s", self.warmup_s),
+            ("bottleneck_rate_mbps", self.bottleneck_rate_bps),
+            ("access_rate_mbps", self.access_rate_bps),
+            ("bottleneck_delay_ms", self.bottleneck_delay_s),
+            ("access_delay_ms", self.access_delay_s),
         ):
             if not math.isfinite(value):
-                raise ConfigError(key, "must be finite")
-            if value < 0.0 or positive and value == 0.0:
-                raise ConfigError(key, "must be > 0" if positive else "must be >= 0")
-        if self.warmup_s >= self.duration_s:
+                raise ConfigError(field_name, "must be finite")
+        if self.duration_s <= 0.0:
+            raise ConfigError("duration_s", "must be > 0")
+        if not 0.0 <= self.warmup_s < self.duration_s:
             raise ConfigError("warmup_s", "must satisfy 0 <= warmup_s < duration_s")
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
+        if self.bottleneck_rate_bps <= 0.0:
+            raise ConfigError("bottleneck_rate_mbps", "must be > 0")
+        if self.access_rate_bps <= 0.0:
+            raise ConfigError("access_rate_mbps", "must be > 0")
+        if self.bottleneck_delay_s < 0.0:
+            raise ConfigError("bottleneck_delay_ms", "must be >= 0")
+        if self.access_delay_s < 0.0:
+            raise ConfigError("access_delay_ms", "must be >= 0")
         if not self.groups:
             raise ConfigError("group", "at least one flow group required")
         seen = set()
@@ -378,9 +385,13 @@ class Scenario:
             if g.mtu <= HEADER_BYTES:
                 raise ConfigError("mtu", f"group {g.name!r} mtu must exceed the {HEADER_BYTES}-byte header")
             if g.mtu > self.red.max_packet_size:
-                raise ConfigError("mtu", f"group {g.name!r} mtu exceeds max_packet_size {self.red.max_packet_size}")
-            if g.mtu > RCV_WND // 2 + HEADER_BYTES:
-                raise ConfigError("mtu", f"group {g.name!r} mtu exceeds {RCV_WND // 2 + HEADER_BYTES}, "
+                raise ConfigError(
+                    "mtu",
+                    f"group {g.name!r} mtu exceeds max_packet_size "
+                    f"{self.red.max_packet_size}",
+                )
+            if g.mtu - HEADER_BYTES > MAX_MSS:
+                raise ConfigError("mtu", f"group {g.name!r} mtu exceeds {MAX_MSS + HEADER_BYTES}, "
                                          "as two segments must fit the receive window")
 
     def with_seed(self, seed: int) -> "Scenario":
@@ -438,11 +449,10 @@ class DumbbellSim:
         group_index: list[int] = []
         variant = scenario.tcp_variant
         for g_idx, group in enumerate(scenario.groups):
-            mss = group.mtu - HEADER_BYTES
             for _ in range(group.flow_count):
                 idx = len(self.flows)
-                self.flows.append(
-                    _Flow(TcpSender(idx, variant, mss), TcpReceiver(idx, variant)))
+                self.flows.append(_Flow(TcpSender(idx, variant, group.mtu - HEADER_BYTES),
+                                        TcpReceiver(idx, variant)))
                 group_index.append(g_idx)
         self.group_of = group_index.__getitem__
         # Start jitter is drawn before any other randomness, in flow order.

@@ -27,6 +27,7 @@ import math
 
 HEADER_BYTES = 40
 RCV_WND = 1_048_576
+MAX_MSS = RCV_WND // 2  # two segments fit the default window
 RTT_GAIN = 0.125
 RTTVAR_GAIN = 0.25
 MAX_RTO_S = 64.0

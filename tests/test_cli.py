@@ -447,6 +447,18 @@ class TestSweepCommand:
         assert out == ""
         assert out_path.read_bytes() == b"an earlier sweep\n"
 
+    # Only the write and close of the output are caught: a refused fork is
+    # not an output that cannot be written.
+    def test_refused_fork_is_not_an_out_error(self, scenario_file, tmp_path, monkeypatch):
+        def refused(*_args):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "start_child", refused)
+        with pytest.raises(BlockingIOError):
+            run_cli(lambda **k: cli.cmd_sweep(scenario_file, "RED_1,RED_2", "reno", "15",
+                                              str(tmp_path / "out.csv"), None, 2, env={}, **k))
+
     def test_one_cpu_runs_cells_inline(self, scenario_file, monkeypatch):
         monkeypatch.setattr(parallel, "start_child", _no_fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -599,6 +611,20 @@ class TestOutputThatCannotBeWritten:
         err = io.StringIO()
         assert call(scenario_file, stdout=FullStdout(), stderr=err) == cli.EXIT_CONFIG
         assert err.getvalue() == f"config error: out: cannot write stdout: {NO_SPACE}\n"
+
+    # A real stdout may keep what it could not write, and the interpreter
+    # flushes it again at exit; the process's own stdout is therefore
+    # pointed at the null device, which swallows that last flush.
+    @pytest.mark.parametrize("call", SUBCOMMANDS.values(), ids=list(SUBCOMMANDS))
+    def test_failed_process_stdout_goes_to_the_null_device(self, scenario_file, tmp_path,
+                                                           monkeypatch, call):
+        stdout = FullStdout()
+        with open(tmp_path / "stdout", "w") as file:
+            stdout.fileno = file.fileno
+            monkeypatch.setattr(sys, "__stdout__", stdout)
+            assert call(scenario_file, stdout=stdout, stderr=io.StringIO()) == cli.EXIT_CONFIG
+            file.write("flushed at exit\n")
+        assert (tmp_path / "stdout").read_text() == ""
 
     @needs_dev_full
     @commands

@@ -23,7 +23,7 @@ from redqsim.engine import (
     run_scenario,
 )
 from redqsim.red import RedParams, RedVariant, Verdict
-from redqsim.tcp import HEADER_BYTES, RCV_WND, Segment, TcpSender, TcpVariant
+from redqsim.tcp import HEADER_BYTES, MAX_MSS, Segment, TcpSender, TcpVariant
 
 THREE_GROUPS = (
     FlowGroup("large", 20, 1500),
@@ -237,7 +237,7 @@ class TestScenarioValidation:
     def test_largest_mtu_builds_and_one_byte_more_is_refused(self):
         # Scenario's bound is the senders' own: two segments per window.
         red = RedParams(max_packet_size=10**6)
-        largest = RCV_WND // 2 + HEADER_BYTES
+        largest = MAX_MSS + HEADER_BYTES
         DumbbellSim(make_scenario(red=red, groups=(FlowGroup("g", 1, largest),)))
         with pytest.raises(ConfigError) as err:
             make_scenario(red=red, groups=(FlowGroup("g", 1, largest + 1),))

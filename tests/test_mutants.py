@@ -295,7 +295,7 @@ MUTANTS = [
     # a sweep checks its grid before it opens --out, and a failed write of
     # the output exits 2.
     Mutant("mtu bound by the receive window dropped", engine.Scenario, "__post_init__",
-           "if g.mtu > RCV_WND // 2 + HEADER_BYTES:", "if False:",
+           "if g.mtu - HEADER_BYTES > MAX_MSS:", "if False:",
            lambda _mp: test_engine.TestScenarioValidation()
            .test_largest_mtu_builds_and_one_byte_more_is_refused(),
            raises=pytest.fail.Exception),
@@ -312,10 +312,24 @@ MUTANTS = [
            with_scenario_file(lambda mp, tmp_path, scn: test_cli.TestSweepCommand()
                               .test_bad_cell_exits_2_before_any_cell_runs(scn, tmp_path,
                                                                           mp, 1))),
-    *(Mutant(f"{name}: a failed output write left uncaught", cli, f"cmd_{name}",
+    *(Mutant(f"{name}: a failed output write left uncaught", cli, "_write_out",
              "except OSError as exc:", "except ZeroDivisionError as exc:",
              full_stdout(name), raises=OSError)
       for name in ("run", "sweep", "validate")),
+    Mutant("sweep cells run inside the output's OSError catch", cli, "cmd_sweep",
+           "    results = ordered_map(sweep_cell, cells, jobs)\n",
+           "    try:\n"
+           "        results = ordered_map(sweep_cell, cells, jobs)\n"
+           "    except OSError:\n"
+           "        return EXIT_CONFIG\n",
+           with_scenario_file(lambda mp, tmp_path, scn: test_cli.TestSweepCommand()
+                              .test_refused_fork_is_not_an_out_error(scn, tmp_path, mp)),
+           raises=pytest.fail.Exception),
+    Mutant("a failed process stdout kept for the exit flush", cli, "_write_out",
+           "if out_path is None and stdout is sys.__stdout__:", "if False:",
+           with_scenario_file(lambda mp, tmp_path, scn: test_cli.TestOutputThatCannotBeWritten()
+                              .test_failed_process_stdout_goes_to_the_null_device(
+                                  scn, tmp_path, mp, test_cli.SUBCOMMANDS["validate"]))),
     # The fork protocol of the parallel map.
     Mutant("parent does not flush before forking", parallel, "start_child",
            "sys.stdout.flush()", "None",
