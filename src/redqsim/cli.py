@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import itertools
 import os
@@ -296,13 +297,33 @@ def _open_out(out_path: str | None, stdout: io.TextIOBase):
         raise ConfigError("out", f"cannot write {out_path!r}: {exc.strerror}") from None
 
 
+def _write_all(handle, text: str) -> None:
+    """Write all of text to handle, or raise OSError.  A text file over a
+    descriptor takes the bytes through os.write, as its buffered writer
+    drops the error that follows a partial write; a StringIO takes write."""
+    fd = -1
+    if isinstance(handle, io.TextIOWrapper):
+        with contextlib.suppress(io.UnsupportedOperation):  # one over memory
+            fd = handle.fileno()
+    if fd < 0:
+        handle.write(text)
+    else:
+        handle.flush()
+        data = memoryview(text.encode(handle.encoding, handle.errors))
+        while data:
+            written = os.write(fd, data)
+            if not written:
+                raise OSError(errno.EIO, "no byte written")
+            data = data[written:]
+    handle.flush()  # or a full stdout would fail only at interpreter exit
+
+
 def _write_out(lines: list[str], out, out_path: str | None, stdout, stderr) -> bool:
     """Write lines to out and close it (a buffered file may fail only there);
     False, after one stderr line naming out, if either fails."""
     try:
         with out as handle:
-            handle.write("\n".join(lines) + "\n")
-            handle.flush()  # or a full stdout would fail only at interpreter exit
+            _write_all(handle, "\n".join(lines) + "\n")
     except OSError as exc:
         if out_path is None and stdout is sys.__stdout__:  # else exit flushes it again
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -358,6 +358,12 @@ class Scenario:
             raise ConfigError("duration_s", "must be > 0")
         if not 0.0 <= self.warmup_s < self.duration_s:
             raise ConfigError("warmup_s", "must satisfy 0 <= warmup_s < duration_s")
+        for field_name, value, kind in (("red_variant", self.red_variant, RedVariant),
+                                        ("tcp", self.tcp_variant, TcpVariant)):
+            if not isinstance(value, kind):
+                raise ConfigError(field_name, f"must be a {kind.__name__}, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
         if self.bottleneck_rate_bps <= 0.0:

@@ -147,7 +147,7 @@ class TcpSender:
     # window bookkeeping
     # ------------------------------------------------------------
 
-    def _pipe(self) -> float:
+    def _pipe(self) -> int:
         # Bytes believed in flight: outstanding, minus what the peer
         # already holds, plus hole retransmissions not yet covered.
         una = self.snd_una
@@ -183,24 +183,20 @@ class TcpSender:
     # segment emission
     # ------------------------------------------------------------
 
-    def _make_segment(self, seq: int, length: int, now: float) -> Segment:
-        # New data is timed when no other segment is.
-        if seq >= self.max_sent and self._timing is None:
-            self._timing = (seq, seq + length, now)
-        self.max_sent = max(self.max_sent, seq + length)
-        self.segments_sent += 1
-        return Segment(self.flow_id, seq, length)
-
-    def _fill_window(self, now: float) -> list[Segment]:
-        # _make_segment's rule for a whole burst, kept in locals: segment
-        # k starts at snd_nxt + k*mss, and max_sent before it is the
-        # larger of the old max_sent and its start, so it is timed iff it
-        # starts at or past the old max_sent and nothing is timed yet.
+    def _fill_window(self, now: float, held: int = 0) -> list[Segment]:
+        # The one path for new data; held is the pipe's excess over the
+        # outstanding bytes in selective recovery.  Segment k starts at
+        # snd_nxt + k*mss, so it is timed iff it starts at or past the old
+        # max_sent and nothing is timed yet.
         mss = self._mss
         una = self.snd_una
         seq = self.snd_nxt
         cwnd = self.cwnd
         window = self._rcv_wnd if self._rcv_wnd < cwnd else cwnd
+        if held:
+            # x + held <= window iff x <= floor(window) - held for integer
+            # x, and outstanding alone stays within rcv_wnd.
+            window = min(math.floor(window) - held, self._rcv_wnd)
         if seq - una + mss > window:
             return []
         flow_id = self.flow_id
@@ -252,20 +248,17 @@ class TcpSender:
         return Segment(self.flow_id, seq, length)
 
     def _emit_recovery(self, now: float) -> list[Segment]:
-        # Selective recovery: refill holes first, then new data, while
-        # the estimated in-flight volume stays under the window.
+        # Selective recovery: refill holes while the estimated in-flight
+        # volume stays under the window, then send new data.  New data
+        # moves no hole, so it goes out in one burst once none is left.
         mss = self._mss
         window = min(self.cwnd, self._rcv_wnd)
         out = []
-        while self._pipe() + mss <= window:
+        while (pipe := self._pipe()) + mss <= window:
             hole = self._next_hole()
-            if hole is not None:
-                out.append(self._retransmit(hole))
-            elif self.snd_nxt - self.snd_una + mss <= self._rcv_wnd:
-                out.append(self._make_segment(self.snd_nxt, mss, now))
-                self.snd_nxt += mss
-            else:
-                break
+            if hole is None:
+                return out + self._fill_window(now, pipe - (self.snd_nxt - self.snd_una))
+            out.append(self._retransmit(hole))
         return out
 
     # ------------------------------------------------------------
@@ -283,15 +276,17 @@ class TcpSender:
     def on_ack(self, seg: Segment, now: float) -> list[Segment]:
         if not seg.is_ack:
             raise ValueError("sender expects acknowledgment segments")
-        if self._sack and seg.sack_blocks:
-            usable = [
-                (max(s, self.snd_una), e)
-                for s, e in seg.sack_blocks
-                if e > self.snd_una
-            ]
-            self.sack_scoreboard = _merge_ranges(self.sack_scoreboard + usable)
         ack_no = seg.ack_no
         una = self.snd_una
+        if self._sack and (seg.sack_blocks or (ack_no > una and self.sack_scoreboard)):
+            # The only clip: the board keeps what lies above the cumulative
+            # acknowledgment, whether or not this one advances it.
+            floor = ack_no if ack_no > una else una
+            self.sack_scoreboard = [
+                (max(s, floor), e)
+                for s, e in _merge_ranges([*self.sack_scoreboard, *seg.sack_blocks])
+                if e > floor
+            ]
         if ack_no > una:
             return self._on_new_ack(ack_no, now)
         if ack_no == una and self.snd_nxt > una:
@@ -309,10 +304,6 @@ class TcpSender:
             # The peer held buffered data past a rewound frontier; jump
             # forward rather than resending what it already has.
             self.snd_nxt = ack_no
-        if self.sack_scoreboard:
-            self.sack_scoreboard = [
-                (max(s, ack_no), e) for s, e in self.sack_scoreboard if e > ack_no
-            ]
         if self.in_recovery:
             # Plain recovery ends on any advance, selective at the frontier.
             if not self._sack or ack_no >= self.recovery_point:

@@ -654,6 +654,29 @@ class TestOutputThatCannotBeWritten:
         assert proc.returncode == cli.EXIT_CONFIG
         assert proc.stderr == f"config error: out: cannot write stdout: {NO_SPACE}\n"
 
+    # A file-size limit cuts a write short, and the buffered writer drops
+    # the error that follows: the rest of the output would vanish unseen.
+    def test_stdout_cut_short_by_a_file_size_limit_exits_2_naming_out(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        limit = 1024  # validate writes about 2 KiB here
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        code = "import sys; from redqsim.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]),
+                   PYTHONDONTWRITEBYTECODE="1")
+        with open(tmp_path / "stdout", "wb") as file:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "validate", "--variant", "RED_1", "--pb",
+                 "0.005", "--sizes", "1500", "--trials", "5000"],
+                env=env, stdout=file, stderr=subprocess.PIPE, text=True, timeout=120,
+                preexec_fn=limit_file_size)
+        assert proc.returncode == cli.EXIT_CONFIG
+        too_large = os.strerror(errno.EFBIG)
+        assert proc.stderr.splitlines()[-1] == f"config error: out: cannot write stdout: {too_large}"
+        assert (tmp_path / "stdout").stat().st_size == limit
+
 
 # ---------------------------------------------------------------
 # validate command

@@ -227,6 +227,11 @@ class TestScenarioValidation:
             (dict(groups=()), "group"),
             (dict(groups=(FlowGroup("g", 1, 1500.0),)), "mtu"),
             (dict(groups=(FlowGroup("g", 1.5, 1500),)), "flows"),
+            # An API caller may pass what the parsers never give.
+            (dict(tcp_variant="sack"), "tcp"),
+            (dict(red_variant="RED_1"), "red_variant"),
+            (dict(seed=1.5), "seed"),
+            (dict(seed=True), "seed"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):

@@ -142,6 +142,7 @@ REWIND_EXAMPLE = (RENO, 3, 0.1, 0.2, 0)
 # Examples of the sender model property that kill a mutant below.
 TIMING_EXAMPLE = (RENO, 16, 0.0, 0.0, 1)
 RESEND_EXAMPLE = (SACK, 16, 0.1, 0.2, 1)
+HELD_EXAMPLE = (SACK, 8, 0.02, 0.0, 2)
 
 MUTANTS = [
     Mutant("row_step without the count reset", red, "row_step",
@@ -176,9 +177,8 @@ MUTANTS = [
     Mutant("third duplicate without the 2 * mss ssthresh floor", tcp.TcpSender,
            "_on_duplicate_ack", "max(self.cwnd / 2.0, 2.0 * mss)", "self.cwnd / 2.0",
            endpoint_invariants(FLOOR_EXAMPLE)),
-    Mutant("scoreboard not clipped at a new ACK", tcp.TcpSender, "_on_new_ack",
-           "(max(s, ack_no), e) for s, e in self.sack_scoreboard if e > ack_no",
-           "(s, e) for s, e in self.sack_scoreboard",
+    Mutant("scoreboard not clipped at a new ACK", tcp.TcpSender, "on_ack",
+           "floor = ack_no if ack_no > una else una\n", "floor = una\n",
            endpoint_invariants(SCOREBOARD_EXAMPLE)),
     Mutant("delivered_bytes assigned instead of added", tcp.TcpReceiver, "on_data",
            "self.delivered_bytes +=", "self.delivered_bytes =",
@@ -250,8 +250,8 @@ MUTANTS = [
            "if not self._ooo and start <= self.rcv_nxt < end:",
            "if start <= self.rcv_nxt < end:",
            lambda _mp: test_tcp.TestReceiver().test_gap_then_cumulative_jump()),
-    Mutant("scoreboard never rebuilt at a new ACK", tcp.TcpSender, "_on_new_ack",
-           "if self.sack_scoreboard:", "if False:",
+    Mutant("scoreboard never rebuilt at a new ACK", tcp.TcpSender, "on_ack",
+           "(ack_no > una and self.sack_scoreboard)", "False",
            endpoint_invariants(SCOREBOARD_EXAMPLE)),
     Mutant("new ACK without the snd_nxt jump", tcp.TcpSender, "_on_new_ack",
            "self.snd_nxt = ack_no\n", "pass\n",
@@ -266,6 +266,16 @@ MUTANTS = [
     Mutant("batched window times a re-sent segment", tcp.TcpSender,
            "_fill_window", "if not timed and seq >= max_sent:", "if not timed:",
            sender_model(RESEND_EXAMPLE)),
+    # Selective recovery's new data goes through _fill_window, whose
+    # window test then counts the pipe's excess over the outstanding bytes.
+    Mutant("recovery burst adds the pipe's excess to the window", tcp.TcpSender,
+           "_fill_window", "math.floor(window) - held", "math.floor(window) + held",
+           sender_model(HELD_EXAMPLE)),
+    Mutant("recovery burst not capped by the receive window", tcp.TcpSender,
+           "_fill_window", "min(math.floor(window) - held, self._rcv_wnd)",
+           "math.floor(window) - held",
+           lambda _mp: test_tcp.TestSackRecovery()
+           .test_receive_window_stops_a_recovery_burst_after_a_timeout()),
     Mutant("receiver extends the highest block across a gap", tcp.TcpReceiver,
            "on_data", "if ooo and ooo[-1][1] == start < end:", "if ooo:",
            lambda _mp: test_tcp.TestReceiver().test_block_report_most_recent_first_max_three()),
@@ -303,6 +313,11 @@ MUTANTS = [
            "__post_init__", "if not isinstance(value, int):", "if False:",
            lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
                dict(groups=(FlowGroup("g", 1, 1500.0),)), "mtu"),
+           raises=pytest.fail.Exception),
+    Mutant("a bool seed taken as an integer", engine.Scenario, "__post_init__",
+           "isinstance(self.seed, bool) or ", "",
+           lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
+               dict(seed=True), "seed"),
            raises=pytest.fail.Exception),
     Mutant("sweep cells built after --out is opened", cli, "cmd_sweep",
            "        cells = sweep_cells(base, variants, tcps, delays)\n"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redqsim.droplaw import mathis_goodput_bound
+from test_sender_model import STATE, ReferenceSender, wire
 from redqsim.tcp import (
     HEADER_BYTES,
     Segment,
@@ -319,6 +320,60 @@ class TestSackRecovery:
         *_, reads = self._recovery_after_timeout(monkeypatch)
         assert all(value >= 0 for value in reads)
 
+    def test_receive_window_stops_a_recovery_burst_after_a_timeout(self):
+        # Item 6's sequence under a 12-segment receive window.  A flight
+        # of 12 loses segments 0-5 and every ACK, so the timer rewinds
+        # snd_nxt.  The resends of 0-4 grow the window to 6 segments; the
+        # resend of 5 is lost, and the duplicates that follow it report
+        # blocks above the rewound frontier.  The fast retransmission of
+        # 5 arrives last, so the recovery bursts run on until the receive
+        # window, not cwnd, stops one.  The sender must match the
+        # reference, which tests the receive window by itself, call by call.
+        wnd = 12 * MSS
+        fast = make_sender(TcpVariant.SACK, rcv_wnd=wnd)
+        ref = ReferenceSender(0, TcpVariant.SACK, MSS, wnd)
+        r = make_receiver(TcpVariant.SACK)
+
+        def call(entry, *args):
+            got, want = getattr(fast, entry)(*args), getattr(ref, entry)(*args)
+            assert wire(got) == wire(want), entry
+            for name in STATE:
+                assert getattr(fast, name) == getattr(ref, name), (entry, name)
+            return got
+
+        fast.cwnd = ref.cwnd = 16.0 * MSS
+        for seg in call("start", 0.0)[6:]:
+            r.on_data(seg)
+        now = fast.rto_deadline
+        pending = call("on_timeout", now)
+        lost, late = {5 * MSS}, set()
+        entries, stops = [], 0
+        for _step in range(100):
+            if entries and not fast.in_recovery:
+                break
+            seg = pending.pop(0)
+            if seg.seq in lost:
+                lost.discard(seg.seq)
+                late.add(seg.seq)
+                continue
+            if seg.seq in late and pending:
+                pending.append(seg)
+                continue
+            now += 0.01
+            was_in_recovery = fast.in_recovery
+            pending += call("on_ack", r.on_data(seg), now)
+            if fast.in_recovery and not was_in_recovery:
+                entries.append((fast.recovery_point, fast.sack_scoreboard[-1][1]))
+            if (fast.in_recovery and fast._next_hole() is None
+                    and fast._pipe() + MSS <= min(fast.cwnd, wnd)
+                    and fast.snd_nxt - fast.snd_una + MSS > wnd):
+                stops += 1
+        # Recovery began below a reported block, and the window stopped
+        # at least one burst that the pipe would have let go on.
+        assert len(entries) == 1 and entries[0][1] > entries[0][0]
+        assert not fast.in_recovery
+        assert stops >= 1 and fast.timeouts == 1
+
 
 # ---------------------------------------------------------------
 # timeout behavior
@@ -544,6 +599,8 @@ class TestEndpointInvariants:
             # Every segment a call sends starts at or above its snd_una.
             assert all(seg.seq >= s.snd_una for seg in out)
             assert s.snd_una <= s.snd_nxt <= s.max_sent
+            # The scoreboard holds only what lies above the cumulative ACK.
+            assert all(start >= s.snd_una for start, _end in s.sack_scoreboard)
             assert s.cwnd >= MSS
             # The pipe estimate is read only in recovery.  Outside it, SACK
             # blocks that the receiver reports above a timeout's rewound
