@@ -12,8 +12,8 @@ import sys
 import pytest
 
 from redqsim import cli, parallel
-from redqsim.engine import ConfigError
-from redqsim.red import RedVariant
+from redqsim.engine import ConfigError, FlowGroup, Scenario
+from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
 SCENARIO_TEXT = """\
@@ -45,7 +45,8 @@ mtu = 375
 """
 
 
-DEFAULTS_SCN = pathlib.Path(__file__).parents[1] / "scenarios" / "defaults.scn"
+REPO = pathlib.Path(__file__).parents[1]
+DEFAULTS_SCN = REPO / "scenarios" / "defaults.scn"
 
 
 @pytest.fixture
@@ -198,6 +199,49 @@ class TestScenarioParsing:
             cli.parse_scenario_text(SCENARIO_TEXT.replace(old, new))
         assert err.value.field == field
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("seed = 5", "seed = 5\nseed = 6", "seed"),
+        ("mtu = 375", "mtu = 375\nmtu = 376", "mtu"),
+        ("[group small]", "[grp small]", "group"),
+        ("seed = 5", "seed = 5\nwombat", "syntax"),
+        ("tcp = reno", "tcp = vegas", "tcp"),
+    ], ids=["duplicate-key", "duplicate-group-key", "section-header", "no-equals",
+            "unknown-tcp"])
+    def test_malformed_line_rejected_naming_field(self, old, new, field):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_scenario_text(SCENARIO_TEXT.replace(old, new))
+        assert err.value.field == field
+
+    def test_unit_conversions_keep_the_float_operations(self):
+        # x / 1e3 and x * 1e-3 are different floats at 0.9 and 1.3.
+        assert 0.9 * 1e-3 != 0.9 / 1e3 and 1.3 * 1e-3 != 1.3 / 1e3
+        sc = cli.parse_scenario_text(SCENARIO_TEXT.replace("seed = 5", "\n".join([
+            "seed = 5", "access_delay_ms = 0.9", "bottleneck_delay_ms = 1.3",
+            "bottleneck_rate_mbps = 0.1"])))
+        assert sc.access_delay_s == 0.9 / 1e3
+        assert sc.bottleneck_delay_s == 1.3 / 1e3
+        assert sc.bottleneck_rate_bps == 0.1 * 1e6
+
+    @pytest.mark.parametrize("path, name, variant, duration_s, warmup_s", [
+        ("scenarios/defaults.scn", "dumbbell-defaults", RedVariant.RED_1, 60.0, 10.0),
+        ("bench/scenarios/desk.scn", "bench-desk", RedVariant.RED_4, 10.0, 0.0),
+        ("bench/scenarios/sweep.scn", "bench-sweep", RedVariant.RED_4, 10.0, 0.0),
+    ], ids=["defaults", "desk", "sweep"])
+    def test_shipped_files_parse_to_pinned_scenarios(self, path, name, variant,
+                                                     duration_s, warmup_s):
+        pinned = Scenario(
+            name=name, red_variant=variant, tcp_variant=TcpVariant.RENO,
+            red=RedParams(w_q=0.002, min_th=40.0, max_th=120.0, max_p=0.1,
+                          buffer_cap=200, max_packet_size=1500),
+            groups=(FlowGroup("large", 20, 1500), FlowGroup("medium", 20, 750),
+                    FlowGroup("small", 20, 375)),
+            duration_s=duration_s, warmup_s=warmup_s, seed=1,
+            bottleneck_rate_bps=30000000.0, access_rate_bps=100000000.0,
+            bottleneck_delay_s=0.015, access_delay_s=0.001)
+        parsed = cli.load_scenario(str(REPO / path))
+        assert parsed == pinned
+        assert repr(parsed) == repr(pinned)  # the same types too: 40.0, not 40
 
     def test_omitted_optional_keys_take_scenario_defaults(self):
         # Scenario owns the defaults; written out in file units they must
@@ -468,6 +512,18 @@ class TestSweepCommand:
         assert rc == cli.EXIT_OK
         assert len(out.strip().splitlines()) == 1 + 2 * 3
 
+    @pytest.mark.parametrize("variants, tcps, delays", [
+        (",", "reno", "15"), ("RED_1", " ", "15"), ("RED_1", "reno", ","),
+    ], ids=["variants", "tcp", "delays"])
+    def test_empty_axis_exits_2(self, scenario_file, monkeypatch, variants, tcps, delays):
+        monkeypatch.setattr(cli, "run_scenario", _no_run)
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_sweep(scenario_file, variants, tcps, delays,
+                                      None, None, env={}, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: sweep: ")
+        assert out == ""
+
     def test_bad_variant_list_exits_2(self, scenario_file):
         rc, _, err = run_cli(
             lambda **k: cli.cmd_sweep(scenario_file, "RED_1,RED_9", "reno",
@@ -715,6 +771,7 @@ class TestValidateCommand:
             pytest.param("RED_1", 0.00002, "1500", 3, "trials", id="trials-work-cap"),
             # random.Random(-1) seeds exactly like Random(1).
             pytest.param("RED_3", 0.05, "1500,750", -1, "seed", id="negative-seed"),
+            pytest.param("RED_1", 0.1, ",", 3, "sizes", id="sizes-empty"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, monkeypatch, variant, p_b,
@@ -728,6 +785,37 @@ class TestValidateCommand:
                                          120_000, seed, **k))
         assert rc == cli.EXIT_CONFIG
         assert err.startswith(f"config error: {field}: ")
+
+    # The exact law refuses such a p_b too, but with another message.
+    @pytest.mark.parametrize("p_b", [0.0, 1.5])
+    def test_pb_out_of_range_exits_2(self, p_b):
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_validate("RED_1", p_b, "1500", 1500, 120_000, 3, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err == f"config error: pb: --pb must be in (0, 1], got {p_b}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_not_positive_exits_2(self, monkeypatch, trials):
+        def no_trials(*_args, **_kwargs):
+            raise AssertionError("Monte Carlo ran on a rejected input")
+
+        monkeypatch.setattr(cli, "montecarlo_interdrop", no_trials)
+        rc, out, err = run_cli(
+            lambda **k: cli.cmd_validate("RED_1", 0.1, "1500", 1500, trials, 3, **k))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: trials: ")
+        assert out == ""
+
+    def test_long_support_is_cut_at_60_rows_and_counted(self):
+        # RED_1 at p_b 0.01 spaces drops uniformly over 1..100 arrivals.
+        rc, out, _ = run_cli(
+            lambda **k: cli.cmd_validate("RED_1", 0.01, "1500", 1500,
+                                         120_000, 3, **k))
+        assert rc == cli.EXIT_OK
+        lines = out.splitlines()
+        assert [int(line.split()[0]) for line in lines[2:62]] == list(range(1, 61))
+        assert lines[62] == "... (40 more support points)"
 
     def test_threshold_breach_exits_1(self, monkeypatch):
         # Force disagreement by corrupting the sampled law.

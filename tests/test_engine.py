@@ -232,6 +232,10 @@ class TestScenarioValidation:
             (dict(red_variant="RED_1"), "red_variant"),
             (dict(seed=1.5), "seed"),
             (dict(seed=True), "seed"),
+            (dict(name=""), "name"),
+            (dict(access_rate_bps=0.0), "access_rate_mbps"),
+            (dict(access_delay_s=-0.001), "access_delay_ms"),
+            (dict(groups=(FlowGroup("", 1, 1500),)), "group"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):
