@@ -78,10 +78,11 @@ from .droplaw import (
     montecarlo_interdrop,
     tv_distance,
 )
-from .engine import ConfigError, FlowGroup, Scenario, run_scenario
+from .config import ConfigError, Field, kind_text
+from .engine import GROUP_FIELDS, SCENARIO_FIELDS, FlowGroup, Scenario, run_scenario
 from .metrics import RunReport
 from .parallel import ordered_map
-from .red import RedParams, RedVariant
+from .red import RED_FIELDS, RedParams, RedVariant
 from .tcp import TcpVariant
 
 EXIT_OK = 0
@@ -114,32 +115,12 @@ CSV_COLUMNS = (
     "seed",
 )
 
-_REQUIRED_KEYS = (
-    "schema",
-    "name",
-    "red_variant",
-    "tcp",
-    "w_q",
-    "min_th",
-    "max_th",
-    "max_p",
-    "buffer_cap",
-    "max_packet_size",
-)
-
-# File key -> (Scenario field, conversion from the file's text).  A key
-# absent from the file leaves the field at Scenario's default.
-_OPTIONAL_KEYS = {
-    "duration_s": ("duration_s", float),
-    "warmup_s": ("warmup_s", float),
-    "seed": ("seed", int),
-    "bottleneck_rate_mbps": ("bottleneck_rate_bps", lambda raw: float(raw) * 1e6),
-    "access_rate_mbps": ("access_rate_bps", lambda raw: float(raw) * 1e6),
-    "bottleneck_delay_ms": ("bottleneck_delay_s", lambda raw: float(raw) / 1e3),
-    "access_delay_ms": ("access_delay_s", lambda raw: float(raw) / 1e3),
-}
-
-_GROUP_KEYS = ("flows", "mtu")
+# A file gives schema, then the keys of SCENARIO_FIELDS and RED_FIELDS at
+# the top, and those of GROUP_FIELDS in each [group NAME] section.
+_SCHEMA = Field("schema", int, int)
+_TOP_ROWS = {row.key: row for row in (_SCHEMA, *SCENARIO_FIELDS, *RED_FIELDS) if row.parse}
+_GROUP_ROWS = {row.key: row for row in GROUP_FIELDS if row.parse}
+_VARIANT, _TCP = (row for row in SCENARIO_FIELDS if row.kind in (RedVariant, TcpVariant))
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -148,25 +129,21 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 # scenario file parsing
 # ---------------------------------------------------------------------------
 
-def _parse_red_variant(text: str) -> RedVariant:
+def _parse(row: Field, raw: str):
+    """raw converted by row's parse, or a ConfigError naming row's key."""
     try:
-        return RedVariant(text.strip().upper())
+        return row.parse(raw)
     except ValueError:
-        raise ConfigError("red_variant", f"red_variant must be one of {[v.value for v in RedVariant]}, got {text!r}") from None
+        raise ConfigError(row.key, f"must be {kind_text(row.kind)}, got {raw!r}") from None
 
 
-def _parse_tcp_variant(text: str) -> TcpVariant:
-    try:
-        return TcpVariant(text.strip().lower())
-    except ValueError:
-        raise ConfigError("tcp", f"tcp must be 'reno' or 'sack', got {text!r}") from None
-
-
-def _number(raw: str, key: str, kind):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(key, f"{key} must be a number, got {raw!r}") from None
+def _values(rows, given: dict[str, str], missing: str) -> dict:
+    """Field name -> converted value for each of rows that given holds; a
+    ConfigError, after `missing`, for a required key that it lacks."""
+    for row in rows:
+        if row.required and row.key not in given:
+            raise ConfigError(row.key, f"{missing} {row.key!r}")
+    return {row.name: _parse(row, given[row.key]) for row in rows if row.key in given}
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
@@ -187,60 +164,27 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> Scenario:
             section = {}
             groups.append((parts[1].strip(), section))
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ConfigError("syntax", f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if section is None:
-            if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
-                raise ConfigError(key, f"{source}:{lineno}: unknown key {key!r}")
-            if key in top:
-                raise ConfigError(key, f"{source}:{lineno}: duplicate key {key!r}")
-            top[key] = value
-        else:
-            if key not in _GROUP_KEYS:
-                raise ConfigError(key, f"{source}:{lineno}: unknown group key {key!r}")
-            if key in section:
-                raise ConfigError(key, f"{source}:{lineno}: duplicate group key {key!r}")
-            section[key] = value
+        key, value = key.strip(), value.strip()
+        rows, given, what = ((_TOP_ROWS, top, "key") if section is None
+                             else (_GROUP_ROWS, section, "group key"))
+        if key not in rows:
+            raise ConfigError(key, f"{source}:{lineno}: unknown {what} {key!r}")
+        if key in given:
+            raise ConfigError(key, f"{source}:{lineno}: duplicate {what} {key!r}")
+        given[key] = value
 
-    for key in _REQUIRED_KEYS:
-        if key not in top:
-            raise ConfigError(key, f"{source}: missing required key {key!r}")
-    schema = _number(top["schema"], "schema", int)
+    values = _values(_TOP_ROWS.values(), top, f"{source}: missing required key")
+    schema = values.pop("schema")
     if schema != 1:
-        raise ConfigError("schema", f"schema must be 1, got {schema}")
-
-    parsed_groups = []
-    for name, body in groups:
-        for key in _GROUP_KEYS:
-            if key not in body:
-                raise ConfigError(key, f"{source}: group {name!r} missing key {key!r}")
-        parsed_groups.append(
-            FlowGroup(
-                name=name,
-                flow_count=_number(body["flows"], "flows", int),
-                mtu=_number(body["mtu"], "mtu", int),
-            )
-        )
-
-    red = RedParams(
-        w_q=_number(top["w_q"], "w_q", float),
-        min_th=_number(top["min_th"], "min_th", float),
-        max_th=_number(top["max_th"], "max_th", float),
-        max_p=_number(top["max_p"], "max_p", float),
-        buffer_cap=_number(top["buffer_cap"], "buffer_cap", int),
-        max_packet_size=_number(top["max_packet_size"], "max_packet_size", int),
-    )
-
-    return Scenario(
-        name=top["name"],
-        red_variant=_parse_red_variant(top["red_variant"]),
-        tcp_variant=_parse_tcp_variant(top["tcp"]),
-        red=red,
-        groups=tuple(parsed_groups),
-        **{field: _number(top[key], key, convert)
-           for key, (field, convert) in _OPTIONAL_KEYS.items() if key in top},
-    )
+        raise ConfigError("schema", f"must be 1, got {schema}")
+    red = RedParams(**{row.name: values.pop(row.name) for row in RED_FIELDS})
+    return Scenario(red=red, groups=tuple(
+        FlowGroup(name, **_values(_GROUP_ROWS.values(), body,
+                                  f"{source}: group {name!r} missing key"))
+        for name, body in groups), **values)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -405,8 +349,8 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
     try:
         base = load_scenario(base_path)
         base = base.with_seed(_resolve_seed(seed_override, env, base.seed))
-        variants = [_parse_red_variant(v) for v in variants_arg.split(",") if v.strip()]
-        tcps = [_parse_tcp_variant(t) for t in tcp_arg.split(",") if t.strip()]
+        variants = [_parse(_VARIANT, v) for v in variants_arg.split(",") if v.strip()]
+        tcps = [_parse(_TCP, t) for t in tcp_arg.split(",") if t.strip()]
         try:
             delays = [float(d) for d in delays_arg.split(",") if d.strip()]
         except ValueError:
@@ -435,7 +379,7 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
     try:
         if seed < 0:
             raise ConfigError("seed", "must be >= 0")
-        variant = _parse_red_variant(variant_arg)
+        variant = _parse(_VARIANT, variant_arg)
         try:
             sizes = tuple(int(s) for s in sizes_arg.split(",") if s.strip())
         except ValueError:

@@ -67,18 +67,11 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Callable
 
+from .config import ConfigError, Field, check_fields
 from .red import (ACCEPT, FORCED_DROP_AVG, FORCED_DROP_BUFFER, RANDOM_DROP,
                   VARIANT_EXPONENTS, RedParams, RedState, RedVariant, Verdict, decide)
 from .tcp import HEADER_BYTES, MAX_MSS, Segment, TcpReceiver, TcpSender, TcpVariant
 from . import metrics
-
-
-class ConfigError(ValueError):
-    """Invalid scenario input; names the offending field."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
 
 
 # ---------------------------------------------------------------
@@ -316,14 +309,30 @@ class Bottleneck(Link):
 
 @dataclass(frozen=True)
 class FlowGroup:
+    """flow_count flows sending mtu-byte packets; Scenario checks it."""
+
     name: str
     flow_count: int
     mtu: int
 
 
+# Key, type, conversion from file text, rule and what it requires.  The
+# name comes from the file's [group NAME] header, not from a key.
+GROUP_FIELDS = (
+    Field("group", str, None, bool, "name must be non-empty", name="name"),
+    Field("flows", int, int, lambda v: v >= 1, "must be >= 1", name="flow_count"),
+    Field("mtu", int, int, lambda v: v > HEADER_BYTES,
+          f"must exceed the {HEADER_BYTES}-byte header"),
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One run's inputs, checked whole: a Scenario that constructs also runs."""
+    """One run's inputs, checked whole: a Scenario that constructs also runs.
+
+    Each field is checked by its SCENARIO_FIELDS row, and each group by
+    GROUP_FIELDS.
+    """
 
     name: str
     red_variant: RedVariant
@@ -339,66 +348,22 @@ class Scenario:
     access_delay_s: float = 0.001
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("name", "must be non-empty")
-        if any(char in self.name for char in ',"\r\n'):
-            raise ConfigError("name", f"must hold no comma, double quote or line break "
-                                      f"(it is an unquoted CSV field), got {self.name!r}")
-        for field_name, value in (
-            ("duration_s", self.duration_s),
-            ("warmup_s", self.warmup_s),
-            ("bottleneck_rate_mbps", self.bottleneck_rate_bps),
-            ("access_rate_mbps", self.access_rate_bps),
-            ("bottleneck_delay_ms", self.bottleneck_delay_s),
-            ("access_delay_ms", self.access_delay_s),
-        ):
-            if not math.isfinite(value):
-                raise ConfigError(field_name, "must be finite")
-        if self.duration_s <= 0.0:
-            raise ConfigError("duration_s", "must be > 0")
+        check_fields(self, SCENARIO_FIELDS)
         if not 0.0 <= self.warmup_s < self.duration_s:
             raise ConfigError("warmup_s", "must satisfy 0 <= warmup_s < duration_s")
-        for field_name, value, kind in (("red_variant", self.red_variant, RedVariant),
-                                        ("tcp", self.tcp_variant, TcpVariant)):
-            if not isinstance(value, kind):
-                raise ConfigError(field_name, f"must be a {kind.__name__}, got {value!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
-        if self.bottleneck_rate_bps <= 0.0:
-            raise ConfigError("bottleneck_rate_mbps", "must be > 0")
-        if self.access_rate_bps <= 0.0:
-            raise ConfigError("access_rate_mbps", "must be > 0")
-        if self.bottleneck_delay_s < 0.0:
-            raise ConfigError("bottleneck_delay_ms", "must be >= 0")
-        if self.access_delay_s < 0.0:
-            raise ConfigError("access_delay_ms", "must be >= 0")
-        if not self.groups:
-            raise ConfigError("group", "at least one flow group required")
-        seen = set()
+        # Two segments of mtu - HEADER_BYTES must fit the senders' receive window.
+        mtu_cap = min(self.red.max_packet_size, MAX_MSS + HEADER_BYTES)
+        names = set()
         for g in self.groups:
-            if not g.name:
-                raise ConfigError("group", "group name must be non-empty")
-            if g.name in seen:
+            if not isinstance(g, FlowGroup):
+                raise ConfigError("group", f"must be a FlowGroup, got {g!r}")
+            check_fields(g, GROUP_FIELDS, f" in group {g.name!r}")
+            if g.name in names:
                 raise ConfigError("group", f"duplicate group name {g.name!r}")
-            seen.add(g.name)
-            for key, value in (("flows", g.flow_count), ("mtu", g.mtu)):
-                if not isinstance(value, int):
-                    raise ConfigError(key, f"group {g.name!r} {key} must be an integer")
-            if g.flow_count < 1:
-                raise ConfigError("flows", f"group {g.name!r} needs flows >= 1")
-            if g.mtu <= HEADER_BYTES:
-                raise ConfigError("mtu", f"group {g.name!r} mtu must exceed the {HEADER_BYTES}-byte header")
-            if g.mtu > self.red.max_packet_size:
-                raise ConfigError(
-                    "mtu",
-                    f"group {g.name!r} mtu exceeds max_packet_size "
-                    f"{self.red.max_packet_size}",
-                )
-            if g.mtu - HEADER_BYTES > MAX_MSS:
-                raise ConfigError("mtu", f"group {g.name!r} mtu exceeds {MAX_MSS + HEADER_BYTES}, "
-                                         "as two segments must fit the receive window")
+            names.add(g.name)
+            if g.mtu > mtu_cap:
+                raise ConfigError("mtu", f"group {g.name!r} mtu exceeds {mtu_cap}, the lesser of "
+                                         f"max_packet_size and {MAX_MSS + HEADER_BYTES}")
 
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(self, seed=seed)
@@ -415,6 +380,31 @@ class Scenario:
             bottleneck_delay_s=bottleneck_delay_s,
             seed=seed,
         )
+
+
+_CSV_SPECIALS = frozenset(',"\r\n')
+# Key, type, conversion from file text, rule and what it requires; a key
+# absent from a file that need not give it leaves the field's default.
+SCENARIO_FIELDS = (
+    Field("name", str, str, lambda v: v and _CSV_SPECIALS.isdisjoint(v),
+          "must be non-empty and hold no comma, double quote or line break "
+          "(it is an unquoted CSV field)"),
+    Field("red_variant", RedVariant, lambda raw: RedVariant(raw.strip().upper())),
+    Field("tcp", TcpVariant, lambda raw: TcpVariant(raw.strip().lower()), name="tcp_variant"),
+    Field("red", RedParams, None),
+    Field("group", tuple, None, bool, "at least one flow group required", name="groups"),
+    Field("duration_s", float, float, lambda v: v > 0.0, "must be > 0", required=False),
+    Field("warmup_s", float, float, required=False),
+    Field("seed", int, int, lambda v: v >= 0, "must be >= 0", required=False),
+    Field("bottleneck_rate_mbps", float, lambda raw: float(raw) * 1e6, lambda v: v > 0.0,
+          "must be > 0", name="bottleneck_rate_bps", required=False),
+    Field("access_rate_mbps", float, lambda raw: float(raw) * 1e6, lambda v: v > 0.0,
+          "must be > 0", name="access_rate_bps", required=False),
+    Field("bottleneck_delay_ms", float, lambda raw: float(raw) / 1e3, lambda v: v >= 0.0,
+          "must be >= 0", name="bottleneck_delay_s", required=False),
+    Field("access_delay_ms", float, lambda raw: float(raw) / 1e3, lambda v: v >= 0.0,
+          "must be >= 0", name="access_delay_s", required=False),
+)
 
 
 # ---------------------------------------------------------------

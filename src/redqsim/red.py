@@ -16,8 +16,9 @@ Carlo drop-law harness.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from .config import ConfigError, Field, check_fields
 
 
 class RedVariant(enum.Enum):
@@ -72,7 +73,8 @@ class RedParams:
 
     Thresholds and the buffer capacity are counted in packets, not
     bytes.  max_packet_size is the reference length M that packet
-    lengths are normalized against.
+    lengths are normalized against.  Each field is checked by its
+    RED_FIELDS row.
     """
 
     w_q: float = 0.002
@@ -83,26 +85,20 @@ class RedParams:
     max_packet_size: int = 1500
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        for name in ("buffer_cap", "max_packet_size"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer")
-        if not 0.0 < self.w_q <= 1.0:
-            raise ValueError("w_q must be in (0, 1]")
-        if self.min_th < 0.0:
-            raise ValueError("min_th must be >= 0")
-        if self.max_th <= self.min_th:
-            raise ValueError("max_th must exceed min_th")
-        if not 0.0 < self.max_p <= 1.0:
-            raise ValueError("max_p must be in (0, 1]")
-        if self.buffer_cap < 1:
-            raise ValueError("buffer_cap must be >= 1")
-        if self.max_th > self.buffer_cap:
-            raise ValueError("max_th must not exceed buffer_cap")
-        if self.max_packet_size < 1:
-            raise ValueError("max_packet_size must be >= 1")
+        check_fields(self, RED_FIELDS)
+        if not self.min_th < self.max_th <= self.buffer_cap:
+            raise ConfigError("max_th", "must satisfy min_th < max_th <= buffer_cap")
+
+
+# Key, type, conversion from file text, rule and what it requires.
+RED_FIELDS = (
+    Field("w_q", float, float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    Field("min_th", float, float, lambda v: v >= 0.0, "must be >= 0"),
+    Field("max_th", float, float),
+    Field("max_p", float, float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    Field("buffer_cap", int, int, lambda v: v >= 1, "must be >= 1"),
+    Field("max_packet_size", int, int, lambda v: v >= 1, "must be >= 1"),
+)
 
 
 @dataclass

@@ -41,9 +41,6 @@ class TcpVariant(enum.Enum):
     RENO = "reno"
     SACK = "sack"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 # Bound once: reading a member off an Enum class is an attribute lookup
 # through its metaclass, slow enough to show on a per-flow path.

@@ -12,8 +12,8 @@ import sys
 import pytest
 
 from redqsim import cli, parallel
-from redqsim.engine import ConfigError, FlowGroup, Scenario
-from redqsim.red import RedParams, RedVariant
+from redqsim.engine import GROUP_FIELDS, SCENARIO_FIELDS, ConfigError, FlowGroup, Scenario
+from redqsim.red import RED_FIELDS, RedParams, RedVariant
 from redqsim.tcp import TcpVariant
 
 SCENARIO_TEXT = """\
@@ -193,25 +193,19 @@ class TestScenarioParsing:
         ("w_q = 0.002", "w_q = tiny", "w_q"),
         ("seed = 5", "seed = 5\naccess_rate_mbps = fast", "access_rate_mbps"),
         ("seed = 5", "seed = 5\nbottleneck_delay_ms = soon", "bottleneck_delay_ms"),
-    ], ids=["w_q", "access_rate_mbps", "bottleneck_delay_ms"])
+        ("tcp = reno", "tcp = vegas", "tcp"),
+        # Malformed lines.
+        ("seed = 5", "seed = 5\nseed = 6", "seed"),
+        ("mtu = 375", "mtu = 375\nmtu = 376", "mtu"),
+        ("[group small]", "[grp small]", "group"),
+        ("seed = 5", "seed = 5\nwombat", "syntax"),
+    ], ids=["w_q", "access_rate_mbps", "bottleneck_delay_ms", "unknown-tcp", "duplicate-key",
+            "duplicate-group-key", "section-header", "no-equals"])
     def test_non_numeric_value_rejected(self, old, new, field):
         with pytest.raises(ConfigError) as err:
             cli.parse_scenario_text(SCENARIO_TEXT.replace(old, new))
         assert err.value.field == field
         assert field in str(err.value)
-
-    @pytest.mark.parametrize("old, new, field", [
-        ("seed = 5", "seed = 5\nseed = 6", "seed"),
-        ("mtu = 375", "mtu = 375\nmtu = 376", "mtu"),
-        ("[group small]", "[grp small]", "group"),
-        ("seed = 5", "seed = 5\nwombat", "syntax"),
-        ("tcp = reno", "tcp = vegas", "tcp"),
-    ], ids=["duplicate-key", "duplicate-group-key", "section-header", "no-equals",
-            "unknown-tcp"])
-    def test_malformed_line_rejected_naming_field(self, old, new, field):
-        with pytest.raises(ConfigError) as err:
-            cli.parse_scenario_text(SCENARIO_TEXT.replace(old, new))
-        assert err.value.field == field
 
     def test_unit_conversions_keep_the_float_operations(self):
         # x / 1e3 and x * 1e-3 are different floats at 0.9 and 1.3.
@@ -252,6 +246,32 @@ class TestScenarioParsing:
             "seed = 1", "bottleneck_rate_mbps = 30", "access_rate_mbps = 100",
             "bottleneck_delay_ms = 15", "access_delay_ms = 1"]))
         assert cli.parse_scenario_text(omitted) == cli.parse_scenario_text(explicit)
+
+
+TABLES = {"RedParams": (RedParams, RED_FIELDS), "FlowGroup": (FlowGroup, GROUP_FIELDS),
+          "Scenario": (Scenario, SCENARIO_FIELDS)}
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("cls, table", TABLES.values(), ids=list(TABLES))
+    def test_one_row_per_field_in_field_order(self, cls, table):
+        assert ([row.name for row in table]
+                == [field.name for field in dataclasses.fields(cls)])
+
+    def test_docstring_names_every_file_key(self):
+        keys = ["schema"] + [row.key for _, table in TABLES.values()
+                             for row in table if row.parse]
+        assert [key for key in keys if not re.search(rf"\b{key} = ", cli.__doc__)] == []
+
+    def test_documented_defaults_are_the_scenario_defaults(self):
+        # Each optional key's default is written in file units; parsed, it
+        # must be the field's default.
+        defaults = {field.name: field.default for field in dataclasses.fields(Scenario)}
+        optional = [row for row in SCENARIO_FIELDS if not row.required]
+        assert optional
+        for row in optional:
+            documented = re.search(rf"\b{row.key} = ([^,\s]+)", cli.__doc__).group(1)
+            assert row.parse(documented) == defaults[row.name], row.key
 
 
 # ---------------------------------------------------------------

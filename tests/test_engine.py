@@ -236,6 +236,12 @@ class TestScenarioValidation:
             (dict(access_rate_bps=0.0), "access_rate_mbps"),
             (dict(access_delay_s=-0.001), "access_delay_ms"),
             (dict(groups=(FlowGroup("", 1, 1500),)), "group"),
+            # A bool is no integer, and a str no number.
+            (dict(groups=(FlowGroup("g", True, 1500),)), "flows"),
+            (dict(groups=list(THREE_GROUPS)), "group"),
+            (dict(red={"w_q": 0.002}), "red"),
+            (dict(duration_s="10"), "duration_s"),
+            (dict(name=5), "name"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):

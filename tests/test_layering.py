@@ -23,12 +23,13 @@ LIST_LOADED = ("import sys, importlib\n"
 
 # Module -> the package modules importing it loads, sorted.
 LOADS = {
-    "red": ["red"],
+    "config": ["config"],
+    "red": ["config", "red"],
     "tcp": ["tcp"],
     "metrics": ["metrics"],
     "parallel": ["parallel"],
-    "droplaw": ["droplaw", "red"],
-    "engine": ["engine", "metrics", "red", "tcp"],
+    "droplaw": ["config", "droplaw", "red"],
+    "engine": ["config", "engine", "metrics", "red", "tcp"],
 }
 
 

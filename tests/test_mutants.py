@@ -38,7 +38,7 @@ import test_parallel
 import test_red
 import test_sender_model
 import test_tcp
-from redqsim import cli, droplaw, engine, metrics, parallel, red, tcp
+from redqsim import cli, config, droplaw, engine, metrics, parallel, red, tcp
 from redqsim.engine import FlowGroup
 from redqsim.red import RedParams, RedVariant
 from redqsim.tcp import TcpVariant
@@ -164,7 +164,7 @@ MUTANTS = [
            .test_replay_bit_identical_to_checked_steps(RedVariant.RED_5, "three-mtu", 3)),
     Mutant("p_a denominator one ulp toward 0", red, "row_step",
            "den = 1.0 - state.count * powers[row[1]] * p_b\n",
-           "den = math.nextafter(1.0 - state.count * powers[row[1]] * p_b, 0.0)\n",
+           "den = __import__('math').nextafter(1.0 - state.count * powers[row[1]] * p_b, 0.0)\n",
            lambda _mp: test_droplaw.TestMechanicsLaw()
            .test_equals_enumeration_bit_for_bit(RedVariant.RED_3)),
     Mutant("buffer-full drop only above buffer_cap", red, "decide",
@@ -305,20 +305,31 @@ MUTANTS = [
     # a sweep checks its grid before it opens --out, and a failed write of
     # the output exits 2.
     Mutant("mtu bound by the receive window dropped", engine.Scenario, "__post_init__",
-           "if g.mtu - HEADER_BYTES > MAX_MSS:", "if False:",
+           "min(self.red.max_packet_size, MAX_MSS + HEADER_BYTES)",
+           "self.red.max_packet_size",
            lambda _mp: test_engine.TestScenarioValidation()
            .test_largest_mtu_builds_and_one_byte_more_is_refused(),
            raises=pytest.fail.Exception),
-    Mutant("flows and mtu taken without the integer check", engine.Scenario,
-           "__post_init__", "if not isinstance(value, int):", "if False:",
+    # The one row check of every input dataclass.
+    Mutant("flows and mtu taken without the integer check", config, "check_fields",
+           "(int, float) if number else kind", "(int, float) if number else (kind, float)",
            lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
                dict(groups=(FlowGroup("g", 1, 1500.0),)), "mtu"),
            raises=pytest.fail.Exception),
-    Mutant("a bool seed taken as an integer", engine.Scenario, "__post_init__",
-           "isinstance(self.seed, bool) or ", "",
+    Mutant("a bool seed taken as an integer", config, "check_fields",
+           "cls is bool or ", "",
            lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
                dict(seed=True), "seed"),
            raises=pytest.fail.Exception),
+    Mutant("the int rule accepts bool", config, "check_fields",
+           "cls is bool or ", "cls is bool and number or ",
+           lambda _mp: test_red.TestRedParams().test_rejects_bad_values({"buffer_cap": True})),
+    # The str then reaches the finiteness test, which raises TypeError.
+    Mutant("the number rule accepts str", config, "check_fields",
+           "(int, float) if number", "(int, float, str) if number",
+           lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
+               dict(duration_s="10"), "duration_s"),
+           raises=TypeError),
     Mutant("sweep cells built after --out is opened", cli, "cmd_sweep",
            "        cells = sweep_cells(base, variants, tcps, delays)\n"
            "        out = _open_out(out_path, stdout)\n",

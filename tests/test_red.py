@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from redqsim.config import ConfigError
 from redqsim.red import (
     VARIANT_EXPONENTS,
     DropDecision,
@@ -88,11 +89,19 @@ class TestRedParams:
             {"buffer_cap": float("inf")},
             {"buffer_cap": 200.5},
             {"max_packet_size": 1500.5},
+            # A bool is no integer, and a str no number.
+            {"buffer_cap": True},
+            {"w_q": "0.1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError, match=list(kwargs)[-1]):
+        with pytest.raises(ConfigError) as err:
             RedParams(**kwargs)
+        assert err.value.field == list(kwargs)[-1]
+
+    def test_float_field_keeps_an_int_as_given(self):
+        params = RedParams(min_th=1, max_th=2, buffer_cap=2)
+        assert (type(params.min_th), type(params.max_th)) == (int, int)
 
     def test_serialized_variant_names(self):
         assert [v.value for v in RedVariant] == [
