@@ -120,7 +120,8 @@ CSV_COLUMNS = (
 _SCHEMA = Field("schema", int, int)
 _TOP_ROWS = {row.key: row for row in (_SCHEMA, *SCENARIO_FIELDS, *RED_FIELDS) if row.parse}
 _GROUP_ROWS = {row.key: row for row in GROUP_FIELDS if row.parse}
-_VARIANT, _TCP = (row for row in SCENARIO_FIELDS if row.kind in (RedVariant, TcpVariant))
+_VARIANT, _TCP = (next(row for row in SCENARIO_FIELDS if row.kind is kind)
+                  for kind in (RedVariant, TcpVariant))
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 

@@ -28,11 +28,11 @@ class Field:
     """One input field of a dataclass.
 
     key names the field in a scenario file and in every error; name is
-    the attribute, key unless given.  kind is int, float, str or a class;
-    a float field takes an int too, stored as given, and no field takes
-    a bool.  parse turns file text into the value, or is None for a field
-    no file key sets.  rule, if any, must hold for the value; says is
-    what it requires.  required says whether a file must give the key.
+    the attribute, key unless given.  kind is the field's type; a float
+    field takes an int too, stored as given, and no field takes a bool.
+    parse turns file text into the value, or is None for a field no file
+    key sets.  rule, if any, must hold for the value; says is what it
+    requires.  required says whether a file must give the key.
     """
 
     __slots__ = ("key", "name", "kind", "parse", "rule", "says", "required")

@@ -179,6 +179,11 @@ class TestScenarioParsing:
             cli.parse_scenario_text(SCENARIO_TEXT.replace("RED_1", "RED_9"))
         assert err.value.field == "red_variant"
 
+    def test_variant_names_ignore_case(self):
+        sc = cli.parse_scenario_text(SCENARIO_TEXT.replace("RED_1", "red_3")
+                                     .replace("tcp = reno", "tcp = SACK"))
+        assert (sc.red_variant, sc.tcp_variant) == (RedVariant.RED_3, TcpVariant.SACK)
+
     def test_comments_and_blank_lines_ignored(self):
         # A "#" starts a comment only at the start of a line or after
         # whitespace, so one inside a value is part of it.
