@@ -48,17 +48,20 @@ is reproducible from the base seed alone.  Every cell is checked before
 made by ``os.fork``, which pipes its result back (see
 ``redqsim.parallel``); rows, diagnostics and the exit code are emitted in
 cell order, so the output, exit code included, is byte-identical to
-``--jobs 1``, the default, which runs every cell in this process.
+``--jobs 1``, the default, which runs every cell in this process.  ``run``
+is the same path over one cell, its scenario, in this process.
 
 Exit codes: 0 success; 1 validator threshold breach; 2 configuration error,
 found before any run (message names the offending field; an ``--out`` path
 that cannot be opened for writing is one too), or output that cannot be
-written or closed (``out``); 3 runtime diagnostic, printed to stderr: a
-stalled run (the event queue drained before the configured duration, or no
-packet reached the bottleneck), a group with no bottleneck arrival in the
-measurement window (its ``plr`` field is empty), or a bottleneck audit that
-is not conserved (the message names the broken identity).  The CSV is
-written in full either way.  A sweep exits with the worst code of its cells.
+written or closed (``out``); 3 runtime diagnostic, printed to stderr as
+``runtime diagnostic: scenario 'NAME': ...`` (a sweep cell's NAME is
+``BASE/VARIANT-TCP-DELAYms``): a stalled run (the event queue drained
+before the configured duration, or no packet reached the bottleneck), a
+group with no bottleneck arrival in the measurement window (its ``plr``
+field is empty), or a bottleneck audit that is not conserved (the message
+names the broken identity).  The CSV is written in full either way.  A
+sweep exits with the worst code of its cells.
 """
 
 from __future__ import annotations
@@ -79,11 +82,10 @@ from .droplaw import (
     tv_distance,
 )
 from .config import ConfigError, Field, kind_text
-from .engine import GROUP_FIELDS, SCENARIO_FIELDS, FlowGroup, Scenario, run_scenario
+from .engine import GROUP_FIELDS, SCENARIO_FIELDS, FlowGroup, Scenario, ms_to_s, run_scenario
 from .metrics import RunReport
 from .parallel import ordered_map
-from .red import RED_FIELDS, RedParams, RedVariant
-from .tcp import TcpVariant
+from .red import RED_FIELDS, RedParams
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -93,9 +95,10 @@ EXIT_RUNTIME = 3
 VALIDATE_TV_THRESHOLD = 0.02
 MEANINGFUL_TRIALS = 100_000
 # Monte Carlo work cap: trials x the exact law's mean gap, in gatekeeper
-# steps.  The replay ran 20.0-22.0 M steps/s (RED_1, p_b 0.004 and 0.01)
-# under Python 3.11 on a 2-core x86-64 host, so the cap is about 2.3-2.5 s
-# there; the default 200,000 trials fit under it down to a mean gap of 250.
+# steps.  Replaying 200,000 trials of RED_1 at p_b 0.004 and 0.01 over 1500
+# bytes and of every variant at p_b 0.1 over 1500/750/375 ran 16-24 M steps/s
+# (best of 3, Python 3.11, 2-core x86-64), so the cap is about 2-3 s there;
+# the default 200,000 trials fit under it down to a mean gap of 250.
 MAX_TRIAL_STEPS = 50_000_000
 SWEEP_SEED_MULTIPLIER = 1_000_003
 SWEEP_SEED_MODULUS = 2 ** 31
@@ -120,8 +123,8 @@ CSV_COLUMNS = (
 _SCHEMA = Field("schema", int, int)
 _TOP_ROWS = {row.key: row for row in (_SCHEMA, *SCENARIO_FIELDS, *RED_FIELDS) if row.parse}
 _GROUP_ROWS = {row.key: row for row in GROUP_FIELDS if row.parse}
-_VARIANT, _TCP = (next(row for row in SCENARIO_FIELDS if row.kind is kind)
-                  for kind in (RedVariant, TcpVariant))
+_VARIANT, _TCP, _SEED = (next(row for row in SCENARIO_FIELDS if row.key == key)
+                         for key in ("red_variant", "tcp", "seed"))
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -130,12 +133,13 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 # scenario file parsing
 # ---------------------------------------------------------------------------
 
-def _parse(row: Field, raw: str):
-    """raw converted by row's parse, or a ConfigError naming row's key."""
+def _parse(row: Field, raw: str, where: str = ""):
+    """raw converted by row's parse, or a ConfigError naming row's key;
+    where ends the message's first clause, as in check_fields."""
     try:
         return row.parse(raw)
     except ValueError:
-        raise ConfigError(row.key, f"must be {kind_text(row.kind)}, got {raw!r}") from None
+        raise ConfigError(row.key, f"must be {kind_text(row.kind)}{where}, got {raw!r}") from None
 
 
 def _values(rows, given: dict[str, str], missing: str) -> dict:
@@ -284,72 +288,67 @@ def _resolve_seed(flag_seed: int | None, env: dict, file_seed: int) -> int:
     if flag_seed is not None:
         return flag_seed
     raw = env.get("REDQSIM_SEED")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError("REDQSIM_SEED", f"REDQSIM_SEED must be an integer, got {raw!r}") from None
-    return file_seed
-
-
-def runtime_problems(report: RunReport) -> list[str]:
-    """Why a run must exit 3: its diagnostics and broken identities."""
-    problems = list(report.diagnostics)
-    problems += [f"not conserved: {line}" for line in report.bottleneck.violations]
-    return problems
+    return file_seed if raw is None else _parse(_SEED, raw, " in REDQSIM_SEED")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
-            *, env: dict | None = None, stdout=None, stderr=None) -> int:
+def run_cell(scenario: Scenario) -> tuple[list[str], list[str], int]:
+    """Run one cell: its CSV rows, its stderr lines and its exit code, which
+    is 3 for any diagnostic of its report or broken identity."""
+    report = run_scenario(scenario)
+    problems = list(report.diagnostics)
+    problems += [f"not conserved: {line}" for line in report.bottleneck.violations]
+    messages = [f"runtime diagnostic: scenario {scenario.name!r}: {line}\n" for line in problems]
+    return report_rows(report), messages, EXIT_RUNTIME if problems else EXIT_OK
+
+
+def _run_cells(path: str, seed_override: int | None, cells_of, out_path: str | None,
+               jobs: int, env: dict | None, stdout, stderr) -> int:
+    """The body of run and sweep.  Load the scenario at path, seed it, make
+    its cells with cells_of and open --out, all before any cell runs; then
+    run the cells (see ordered_map), print their runtime diagnostics, write
+    the CSV and return the worst exit code."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     env = os.environ if env is None else env
     try:
-        scenario = load_scenario(scenario_path)
-        scenario = scenario.with_seed(_resolve_seed(seed_override, env, scenario.seed))
+        base = load_scenario(path)
+        base = base.with_seed(_resolve_seed(seed_override, env, base.seed))
+        cells = cells_of(base)
         out = _open_out(out_path, stdout)
     except ValueError as exc:
         stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    report = run_scenario(scenario)
-    if not _write_out([",".join(CSV_COLUMNS)] + report_rows(report), out, out_path, stdout, stderr):
-        return EXIT_CONFIG
-    problems = runtime_problems(report)
-    for line in problems:
-        stderr.write(f"runtime diagnostic: scenario {scenario.name!r}: {line}\n")
-    return EXIT_RUNTIME if problems else EXIT_OK
+
+    results = ordered_map(run_cell, cells, jobs)
+    stderr.writelines(line for _, messages, _ in results for line in messages)
+    lines = [",".join(CSV_COLUMNS)] + [row for rows, _, _ in results for row in rows]
+    worst = max(code for _, _, code in results)
+    return worst if _write_out(lines, out, out_path, stdout, stderr) else EXIT_CONFIG
+
+
+def cmd_run(scenario_path: str, out_path: str | None, seed_override: int | None,
+            *, env: dict | None = None, stdout=None, stderr=None) -> int:
+    return _run_cells(scenario_path, seed_override, lambda scenario: [scenario],
+                      out_path, 1, env, stdout, stderr)
 
 
 def sweep_cells(base: Scenario, variants, tcps, delays_ms) -> list[Scenario]:
     """Every cell's Scenario, in sweep order; an invalid cell raises ConfigError."""
     grid = itertools.product(variants, tcps, delays_ms)
     return [base.with_cell(name=f"{base.name}/{variant.value}-{tcp.value}-{delay:g}ms",
-                           red_variant=variant, tcp_variant=tcp, bottleneck_delay_s=delay / 1e3,
+                           red_variant=variant, tcp_variant=tcp, bottleneck_delay_s=ms_to_s(delay),
                            seed=(base.seed * SWEEP_SEED_MULTIPLIER + index) % SWEEP_SEED_MODULUS)
             for index, (variant, tcp, delay) in enumerate(grid)]
-
-
-def sweep_cell(scenario: Scenario) -> tuple[list[str], list[str], int]:
-    """Run one sweep cell: its CSV rows, its stderr lines and its exit code."""
-    report = run_scenario(scenario)
-    problems = runtime_problems(report)
-    messages = [f"cell {scenario.name}: runtime diagnostic: {line}\n" for line in problems]
-    return report_rows(report), messages, EXIT_RUNTIME if problems else EXIT_OK
 
 
 def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
               out_path: str | None, seed_override: int | None, jobs: int = 1,
               *, env: dict | None = None, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
-    env = os.environ if env is None else env
-    try:
-        base = load_scenario(base_path)
-        base = base.with_seed(_resolve_seed(seed_override, env, base.seed))
+    def cells_of(base: Scenario) -> list[Scenario]:
         variants = [_parse(_VARIANT, v) for v in variants_arg.split(",") if v.strip()]
         tcps = [_parse(_TCP, t) for t in tcp_arg.split(",") if t.strip()]
         try:
@@ -360,17 +359,9 @@ def cmd_sweep(base_path: str, variants_arg: str, tcp_arg: str, delays_arg: str,
             raise ConfigError("sweep", "sweep needs at least one variant, one tcp, and one delay")
         if jobs < 1:
             raise ConfigError("jobs", f"--jobs must be >= 1, got {jobs}")
-        cells = sweep_cells(base, variants, tcps, delays)
-        out = _open_out(out_path, stdout)
-    except ValueError as exc:
-        stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
+        return sweep_cells(base, variants, tcps, delays)
 
-    results = ordered_map(sweep_cell, cells, jobs)
-    stderr.writelines(line for _, messages, _ in results for line in messages)
-    lines = [",".join(CSV_COLUMNS)] + [row for rows, _, _ in results for row in rows]
-    worst = max(code for _, _, code in results)
-    return worst if _write_out(lines, out, out_path, stdout, stderr) else EXIT_CONFIG
+    return _run_cells(base_path, seed_override, cells_of, out_path, jobs, env, stdout, stderr)
 
 
 def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
@@ -378,15 +369,13 @@ def cmd_validate(variant_arg: str, p_b: float, sizes_arg: str, max_size: int,
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        if seed < 0:
-            raise ConfigError("seed", "must be >= 0")
+        if not _SEED.rule(seed):
+            raise ConfigError(_SEED.key, _SEED.says)
         variant = _parse(_VARIANT, variant_arg)
         try:
             sizes = tuple(int(s) for s in sizes_arg.split(",") if s.strip())
         except ValueError:
             raise ConfigError("sizes", f"--sizes must be comma-separated byte counts, got {sizes_arg!r}") from None
-        if not sizes:
-            raise ConfigError("sizes", "--sizes must name at least one packet size")
         stream = SizeStream(sizes=sizes, max_packet_size=max_size)
         if not 0.0 < p_b <= 1.0:
             raise ConfigError("pb", f"--pb must be in (0, 1], got {p_b}")

@@ -1,10 +1,10 @@
 """Input fields: ConfigError and the one check every input dataclass runs.
 
-Each input dataclass (red.RedParams, engine.FlowGroup, engine.Scenario)
-has one module-level table of Field rows, next to the class.  A row
-holds everything about one field that does not involve another field:
-its scenario-file key, the attribute, the type, the conversion from
-file text and a single-field rule.  Each __post_init__ runs
+Each input dataclass (red.RedParams, engine.FlowGroup, engine.Scenario,
+droplaw.SizeStream) has one table of Field rows, next to the class.  A
+row holds everything about one field that does not involve another
+field: its scenario-file key, the attribute, the type, the conversion
+from file text and a single-field rule.  Each __post_init__ runs
 check_fields() over its table and then its own cross-field rules; the
 scenario parser reads the same rows, so each key is spelled once.
 """

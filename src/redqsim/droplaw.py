@@ -29,7 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .red import VARIANT_EXPONENTS, RedState, RedVariant, row_step
+from .config import ConfigError, Field, check_fields
+from .red import RED_FIELDS, VARIANT_EXPONENTS, RedState, RedVariant, row_step
 
 # Residual probability tolerated when a pmf is declared complete.
 _MASS_TOL = 1e-12
@@ -74,8 +75,8 @@ class SizeStream:
     """Packet lengths indexed from the most recent drop, cycling.
 
     sizes[i] is the length of the (i+1)-th arrival after a drop; the
-    pattern repeats when exhausted.  Lengths and max_packet_size are
-    integers, as in RedParams, and lengths must lie in
+    pattern repeats when exhausted.  Each field is checked by its
+    SIZE_FIELDS row, and each length must be an integer in
     (0, max_packet_size].
     """
 
@@ -83,23 +84,25 @@ class SizeStream:
     max_packet_size: int = 1500
 
     def __post_init__(self) -> None:
-        if not self.sizes:
-            raise ValueError("sizes must be non-empty")
-        if not isinstance(self.max_packet_size, int):
-            raise ValueError("max_packet_size must be an integer")
-        if not all(isinstance(length, int) for length in self.sizes):
-            raise ValueError("sizes must be integers")
-        if self.max_packet_size < 1:
-            raise ValueError("max_packet_size must be >= 1")
+        check_fields(self, SIZE_FIELDS)
+        top = self.max_packet_size
         for length in self.sizes:
-            if not 0 < length <= self.max_packet_size:
-                raise ValueError("sizes must be in (0, max_packet_size]")
+            if type(length) is bool or not isinstance(length, int) or not 0 < length <= top:
+                raise ConfigError("sizes", "each must be an integer in "
+                                           f"(0, max_packet_size], got {length!r}")
 
     def length_at(self, index: int) -> int:
         return self.sizes[index % len(self.sizes)]
 
     def ratio_at(self, index: int) -> float:
         return self.length_at(index) / self.max_packet_size
+
+
+# Key, type, conversion, rule and what it requires; max_packet_size is RedParams' row.
+SIZE_FIELDS = (
+    Field("sizes", tuple, None, bool, "must hold at least one length"),
+    *(row for row in RED_FIELDS if row.key == "max_packet_size"),
+)
 
 
 def _validate_pb(p_b: float) -> None:

@@ -382,6 +382,16 @@ class Scenario:
         )
 
 
+def mbps_to_bps(mbps: str | float) -> float:
+    """A rate given in Mbit/s, as file text or a number, in bit/s."""
+    return float(mbps) * 1e6
+
+
+def ms_to_s(ms: str | float) -> float:
+    """A time given in ms, as file text or a number, in seconds."""
+    return float(ms) / 1e3
+
+
 _CSV_SPECIALS = frozenset(',"\r\n')
 # Key, type, conversion from file text, rule and what it requires; a key
 # absent from a file that need not give it leaves the field's default.
@@ -396,13 +406,13 @@ SCENARIO_FIELDS = (
     Field("duration_s", float, float, lambda v: v > 0.0, "must be > 0", required=False),
     Field("warmup_s", float, float, required=False),
     Field("seed", int, int, lambda v: v >= 0, "must be >= 0", required=False),
-    Field("bottleneck_rate_mbps", float, lambda raw: float(raw) * 1e6, lambda v: v > 0.0,
+    Field("bottleneck_rate_mbps", float, mbps_to_bps, lambda v: v > 0.0,
           "must be > 0", name="bottleneck_rate_bps", required=False),
-    Field("access_rate_mbps", float, lambda raw: float(raw) * 1e6, lambda v: v > 0.0,
+    Field("access_rate_mbps", float, mbps_to_bps, lambda v: v > 0.0,
           "must be > 0", name="access_rate_bps", required=False),
-    Field("bottleneck_delay_ms", float, lambda raw: float(raw) / 1e3, lambda v: v >= 0.0,
+    Field("bottleneck_delay_ms", float, ms_to_s, lambda v: v >= 0.0,
           "must be >= 0", name="bottleneck_delay_s", required=False),
-    Field("access_delay_ms", float, lambda raw: float(raw) / 1e3, lambda v: v >= 0.0,
+    Field("access_delay_ms", float, ms_to_s, lambda v: v >= 0.0,
           "must be >= 0", name="access_delay_s", required=False),
 )
 

@@ -320,12 +320,11 @@ class TcpSender:
             out = self._emit_recovery(now)
         else:
             out = self._fill_window(now)
-        if self.snd_nxt > ack_no:
-            # effective_rto(), spelled out on the per-ACK path.
-            rto = self.rto * self.backoff
-            self.rto_deadline = now + (rto if rto < MAX_RTO_S else MAX_RTO_S)
-        else:
-            self.rto_deadline = None
+        # Data is in flight after a new ACK: a window holds an mss, and
+        # selective recovery keeps snd_nxt >= recovery_point > ack_no.
+        # effective_rto(), spelled out on the per-ACK path.
+        rto = self.rto * self.backoff
+        self.rto_deadline = now + (rto if rto < MAX_RTO_S else MAX_RTO_S)
         return out
 
     def _on_duplicate_ack(self, now: float) -> list[Segment]:
@@ -394,13 +393,10 @@ class TcpReceiver:
         self._recent: list[tuple[int, int]] = []
 
     def _touch_block(self, start: int, end: int) -> None:
-        containing = None
-        for block in self._ooo:
-            if block[0] <= start and end <= block[1]:
-                containing = block
+        # on_data has merged (start, end) into _ooo, so a block holds it.
+        for containing in self._ooo:
+            if containing[0] <= start and end <= containing[1]:
                 break
-        if containing is None:
-            return
         self._recent = [containing] + [
             b for b in self._recent if b in self._ooo and b != containing
         ]

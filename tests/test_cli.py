@@ -423,15 +423,18 @@ class TestSweepCommand:
     def test_cell_seeds_derive_from_base_seed_and_index(self):
         base = cli.parse_scenario_text(SCENARIO_TEXT)
         cells = cli.sweep_cells(
-            base, [RedVariant.RED_1, RedVariant.RED_2], [TcpVariant.RENO], [15.0, 80.0])
+            base, [RedVariant.RED_1, RedVariant.RED_2], [TcpVariant.RENO],
+            [15.0, 80.0, 0.9, 1.3])
         assert [c.seed for c in cells] == [
             (5 * cli.SWEEP_SEED_MULTIPLIER + i) % cli.SWEEP_SEED_MODULUS
-            for i in range(4)
+            for i in range(8)
         ]
+        # Each delay takes the scenario file's ms conversion, / 1e3; under
+        # * 1e-3, 0.9 and 1.3 ms would come out one ulp high.
         assert [(c.name, c.red_variant, c.tcp_variant, c.bottleneck_delay_s)
                 for c in cells] == [
             (f"cli-test/{v.value}-reno-{d:g}ms", v, TcpVariant.RENO, d / 1e3)
-            for v in (RedVariant.RED_1, RedVariant.RED_2) for d in (15.0, 80.0)]
+            for v in (RedVariant.RED_1, RedVariant.RED_2) for d in (15.0, 80.0, 0.9, 1.3)]
 
     def test_grid_rows_and_deterministic_order(self, scenario_file):
         rc, out, err = run_cli(
@@ -451,7 +454,7 @@ class TestSweepCommand:
         rc, out, err = result = sweep_two_cells(starved_file, jobs, monkeypatch)
         assert rc == cli.EXIT_RUNTIME
         assert [line for line in err.splitlines() if "stalled" in line] == [
-            f"cell dumbbell-defaults/{v}-reno-15ms: runtime diagnostic: stalled: "
+            f"runtime diagnostic: scenario 'dumbbell-defaults/{v}-reno-15ms': stalled: "
             "no packet reached the bottleneck in 2 s" for v in ("RED_1", "RED_3")]
         assert len(out.strip().splitlines()) == 1 + 2 * 3
         if jobs > 1:
@@ -464,7 +467,7 @@ class TestSweepCommand:
                                                 "300")
         assert rc == cli.EXIT_RUNTIME
         assert err.splitlines() == [
-            f"cell cli-test/{v}-reno-300ms: runtime diagnostic: {line}"
+            f"runtime diagnostic: scenario 'cli-test/{v}-reno-300ms': {line}"
             for v in ("RED_1", "RED_3") for line in SILENT_WINDOW_DIAGNOSTICS]
         assert out.splitlines()[1:] == [
             f"cli-test/{v}-reno-300ms,{v},reno,300,{mtu},0,,0,0,0,0,{seed}"
@@ -483,7 +486,7 @@ class TestSweepCommand:
         assert len(lines) == 2
         for line, variant in zip(lines, ("RED_1", "RED_3")):
             assert line.startswith(
-                f"cell cli-test/{variant}-reno-15ms: runtime diagnostic: {message}")
+                f"runtime diagnostic: scenario 'cli-test/{variant}-reno-15ms': {message}")
         assert len(out.strip().splitlines()) == 1 + 2 * 3
         if jobs > 1:
             assert result == sweep_two_cells(scenario_file, 1, monkeypatch)
@@ -692,6 +695,19 @@ class TestOutputThatCannotBeWritten:
         err = io.StringIO()
         assert call(scenario_file, stdout=FullStdout(), stderr=err) == cli.EXIT_CONFIG
         assert err.getvalue() == f"config error: out: cannot write stdout: {NO_SPACE}\n"
+
+    # A write(2) that takes no byte and reports no error would otherwise
+    # spin for ever.
+    def test_write_that_takes_no_byte_exits_2_naming_out(self, scenario_file, tmp_path,
+                                                         monkeypatch):
+        err = io.StringIO()
+        with open(tmp_path / "stdout", "w") as stdout:
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "write", lambda _fd, _data: 0)
+                code = SUBCOMMANDS["validate"](scenario_file, stdout=stdout, stderr=err)
+        assert code == cli.EXIT_CONFIG
+        assert err.getvalue() == "config error: out: cannot write stdout: no byte written\n"
+        assert (tmp_path / "stdout").read_text() == ""
 
     # A real stdout may keep what it could not write, and the interpreter
     # flushes it again at exit; the process's own stdout is therefore

@@ -2,9 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
 
+from redqsim.config import ConfigError
 from redqsim.droplaw import (
     InterdropLaw,
     SizeStream,
@@ -19,6 +21,7 @@ from redqsim.droplaw import (
 )
 from redqsim.red import RedParams, RedState, RedVariant, random_region_step
 
+EACH_LENGTH = "each must be an integer in (0, max_packet_size]"
 FULL = SizeStream((1500,))
 HALF = SizeStream((750,))
 ALTERNATING = SizeStream((1500, 750))
@@ -79,6 +82,8 @@ class TestContainers:
             InterdropLaw({1: 0.5, 2: 0.4})
 
     def test_law_rejects_bad_support(self):
+        with pytest.raises(ValueError, match="^pmf must be non-empty$"):
+            InterdropLaw({})
         with pytest.raises(ValueError):
             InterdropLaw({0: 1.0})
         with pytest.raises(ValueError):
@@ -102,22 +107,30 @@ class TestContainers:
         with pytest.raises(ValueError):
             SizeStream(())
 
+    # Every bad field raises a ConfigError naming it, a bool included.
     @pytest.mark.parametrize(
         "sizes, max_packet_size, message",
         [
-            ((1000,), 1500.5, "max_packet_size must be an integer"),
-            ((1000,), float("inf"), "max_packet_size must be an integer"),
-            ((1000,), float("nan"), "max_packet_size must be an integer"),
-            ((1000.5,), 1500, "sizes must be integers"),
-            ((1500, 750.0), 1500, "sizes must be integers"),
+            ((1000,), 1500.5, "max_packet_size: must be an integer, got 1500.5"),
+            ((1000,), float("inf"), "max_packet_size: must be an integer, got inf"),
+            ((1000,), float("nan"), "max_packet_size: must be an integer, got nan"),
+            ((1000.5,), 1500, f"sizes: {EACH_LENGTH}, got 1000.5"),
+            ((1500, 750.0), 1500, f"sizes: {EACH_LENGTH}, got 750.0"),
+            ((True,), 1500, f"sizes: {EACH_LENGTH}, got True"),
+            ((1500, True), 1500, f"sizes: {EACH_LENGTH}, got True"),
+            ((1500,), True, "max_packet_size: must be an integer, got True"),
+            ([1500], 1500, "sizes: must be a tuple, got [1500]"),
+            ((1500,), 0, "max_packet_size: must be >= 1"),
         ],
         ids=["fractional-M", "infinite-M", "nan-M", "fractional-size",
-             "float-size"],
+             "float-size", "bool-size", "bool-second-size", "bool-M", "list-sizes",
+             "zero-M"],
     )
     def test_stream_rejects_non_integers_naming_field(self, sizes,
                                                       max_packet_size, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as caught:
             SizeStream(sizes, max_packet_size=max_packet_size)
+        assert caught.value.field == message.split(":")[0]
 
 
 # ---------------------------------------------------------------

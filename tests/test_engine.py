@@ -242,6 +242,7 @@ class TestScenarioValidation:
             (dict(red={"w_q": 0.002}), "red"),
             (dict(duration_s="10"), "duration_s"),
             (dict(name=5), "name"),
+            (dict(groups=(("g", 1, 1500),)), "group"),
         ],
     )
     def test_invalid_fields_named(self, overrides, field):
@@ -577,6 +578,12 @@ def raised_sim(monkeypatch):
     with pytest.raises(RuntimeError, match="planted"):
         sim.run()
     return sim
+
+
+def test_second_run_is_refused():
+    sim = ran_sim(None)
+    with pytest.raises(RuntimeError, match="^simulation already ran$"):
+        sim.run()
 
 
 class TestNoReferenceCycles:

@@ -28,6 +28,18 @@ class TestScalarHelpers:
     def test_loss_ratio_values(self, drops, arrivals, expected):
         assert loss_ratio(drops, arrivals) == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: goodput_bps(-1, 1.0), "delivered_bytes must be >= 0"),
+            (lambda: loss_ratio(101, 100), "need 0 <= drops <= arrivals"),
+        ],
+        ids=["negative-bytes", "drops-over-arrivals"],
+    )
+    def test_impossible_counts_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_loss_ratio_zero_arrivals_is_undefined(self):
         assert loss_ratio(0, 0) is None
 

@@ -298,7 +298,7 @@ MUTANTS = [
            .hypothesis.inner_test(test_red.TestComputePb(), min_th=40.0, width=80.0,
                                   max_p=0.1, frac=0.5)),
     Mutant("validate runs a negative seed", cli, "cmd_validate",
-           "if seed < 0:", "if False:",
+           "if not _SEED.rule(seed):", "if False:",
            lambda mp: test_cli.TestValidateCommand().test_bad_input_exits_2_naming_field(
                mp, "RED_3", 0.05, "1500,750", -1, "seed")),
     # One gate for a valid run: Scenario checks what the endpoints rely on,
@@ -324,17 +324,22 @@ MUTANTS = [
     Mutant("the int rule accepts bool", config, "check_fields",
            "cls is bool or ", "cls is bool and number or ",
            lambda _mp: test_red.TestRedParams().test_rejects_bad_values({"buffer_cap": True})),
+    Mutant("SizeStream takes a bool length", droplaw.SizeStream, "__post_init__",
+           "type(length) is bool or ", "",
+           lambda _mp: test_droplaw.TestContainers().test_stream_rejects_non_integers_naming_field(
+               (1500, True), 1500, f"sizes: {test_droplaw.EACH_LENGTH}, got True"),
+           raises=pytest.fail.Exception),
     # The str then reaches the finiteness test, which raises TypeError.
     Mutant("the number rule accepts str", config, "check_fields",
            "(int, float) if number", "(int, float, str) if number",
            lambda _mp: test_engine.TestScenarioValidation().test_invalid_fields_named(
                dict(duration_s="10"), "duration_s"),
            raises=TypeError),
-    Mutant("sweep cells built after --out is opened", cli, "cmd_sweep",
-           "        cells = sweep_cells(base, variants, tcps, delays)\n"
+    Mutant("sweep cells built after --out is opened", cli, "_run_cells",
+           "        cells = cells_of(base)\n"
            "        out = _open_out(out_path, stdout)\n",
            "        out = _open_out(out_path, stdout)\n"
-           "        cells = sweep_cells(base, variants, tcps, delays)\n",
+           "        cells = cells_of(base)\n",
            with_scenario_file(lambda mp, tmp_path, scn: test_cli.TestSweepCommand()
                               .test_bad_cell_exits_2_before_any_cell_runs(scn, tmp_path,
                                                                           mp, 1))),
@@ -342,10 +347,10 @@ MUTANTS = [
              "except OSError as exc:", "except ZeroDivisionError as exc:",
              full_stdout(name), raises=OSError)
       for name in ("run", "sweep", "validate")),
-    Mutant("sweep cells run inside the output's OSError catch", cli, "cmd_sweep",
-           "    results = ordered_map(sweep_cell, cells, jobs)\n",
+    Mutant("sweep cells run inside the output's OSError catch", cli, "_run_cells",
+           "    results = ordered_map(run_cell, cells, jobs)\n",
            "    try:\n"
-           "        results = ordered_map(sweep_cell, cells, jobs)\n"
+           "        results = ordered_map(run_cell, cells, jobs)\n"
            "    except OSError:\n"
            "        return EXIT_CONFIG\n",
            with_scenario_file(lambda mp, tmp_path, scn: test_cli.TestSweepCommand()

@@ -151,6 +151,21 @@ class TestOrderedMap:
         assert parallel.effective_jobs(8, 1) == 1
         assert parallel.effective_jobs(1, 5) == 1
 
+    def test_no_fork_runs_every_item_in_process(self, two_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert parallel.effective_jobs(8, 5) == 1
+
+    @needs_proc
+    def test_refused_fork_closes_the_pipe(self, monkeypatch):
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refused)
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            parallel.start_child(_slow_square, 1, [])
+        assert set(os.listdir("/proc/self/fd")) == fds
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_bad_jobs_rejected_before_any_fork(self, monkeypatch, jobs):
         monkeypatch.setattr(parallel, "start_child", _no_fork)
@@ -319,7 +334,7 @@ class TestParallelSweep:
         assert rc == cli.EXIT_RUNTIME
         assert len(out.splitlines()) == 1 + 4 * 2
         assert [line.split(": ")[:2] for line in err.splitlines()] == [
-            ["cell par/RED_4-sack-15ms", "runtime diagnostic"]] * 3
+            ["runtime diagnostic", "scenario 'par/RED_4-sack-15ms'"]] * 3
         assert "stalled: no packet reached the bottleneck in 3 s" in err
 
     @needs_proc

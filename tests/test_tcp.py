@@ -101,6 +101,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=list(kwargs)[-1]):
             TcpSender(0, TcpVariant.RENO, **{"mss": MSS, **kwargs})
 
+    # Each endpoint refuses a call out of turn, or a segment of the wrong kind.
+    @pytest.mark.parametrize(
+        "misuse, error, message",
+        [
+            (lambda s, _r: s.start(0.0), RuntimeError, "sender already started"),
+            (lambda s, _r: s.on_ack(Segment(0, 0, MSS), 0.0), ValueError,
+             "sender expects acknowledgment segments"),
+            (lambda _s, r: r.on_data(ack(0)), ValueError, "receiver expects data segments"),
+        ],
+        ids=["start-twice", "data-to-sender", "ack-to-receiver"],
+    )
+    def test_endpoint_misuse_raises(self, misuse, error, message):
+        sender = make_sender()
+        sender.start(0.0)
+        with pytest.raises(error, match=f"^{message}$"):
+            misuse(sender, make_receiver())
+
     def test_segment_wire_size_includes_header(self):
         seg = Segment(0, seq=0, payload=1460)
         assert seg.wire_bytes == 1500
@@ -594,7 +611,9 @@ class TestEndpointInvariants:
         delivered = 0
         now = 0.0
 
-        def check(out=()):
+        def check(out=(), una=None, buffered=None):
+            # una: snd_una before an on_ack call; buffered: a data segment
+            # that reached the receiver above its frontier.
             nonlocal delivered
             # Every segment a call sends starts at or above its snd_una.
             assert all(seg.seq >= s.snd_una for seg in out)
@@ -609,6 +628,16 @@ class TestEndpointInvariants:
                 assert s._pipe() >= 0
             assert r.delivered_bytes >= delivered
             delivered = r.delivered_bytes
+            # A new ACK always leaves data in flight, so the timer is armed.
+            if una is not None and s.snd_una > una:
+                assert s.snd_nxt > s.snd_una
+                assert s.rto_deadline is not None
+            # A segment buffered out of order joins a block, which a
+            # selective receiver reports first.
+            if buffered is not None and variant is TcpVariant.SACK:
+                first = r._recent[0]
+                assert first[0] <= buffered.seq
+                assert buffered.seq + buffered.payload <= first[1]
 
         out = s.start(now)
         data.extend(out)
@@ -629,10 +658,12 @@ class TestEndpointInvariants:
             seg = pending.pop(index)
             if rng.random() < loss:
                 continue
-            out = ()
             if pending is data:
+                above = seg.seq > r.rcv_nxt
                 acks.append(r.on_data(seg))
+                check(buffered=seg if above else None)
             else:
+                una = s.snd_una
                 out = s.on_ack(seg, now)
                 data.extend(out)
-            check(out)
+                check(out, una=una)
